@@ -7,10 +7,13 @@ the neighbor sectors:
     lesser  G<_ij(t, tau) = -i <b_j^dag(t2) b_i(t1)>   (N-1 sector inside)
     greater G>_ij(t, tau) = -i <b_i(t1) b_j^dag(t2)>   (N+1 sector inside)
 
-Occupation correlators stay in the N sector. Every evaluation reduces to
-ladder advances of state vectors, never matrix-matrix work: the trajectory
-states psi(t + m*dtau/2) are built once by fine stepping, and each tau point
-costs O(log tau) dense matrix-vector products.
+Occupation correlators stay in the N sector. The trajectory states
+psi(t + m*dtau/2) are built once, one matrix-vector product per half step
+with U(dtau/2). Each tau point then needs O(log tau) rung applies on a few
+sector vectors; the walks of many tau points are stacked as the columns of
+one block and moved together by advance_columns, so each rung meets them as
+matrix-matrix products. Blocks hold at most dim(N) columns, which keeps the
+extra working set to a few rung-sized arrays.
 
 The energy transform follows f(E) = dtau * sum_k w(tau_k) C(tau_k)
 exp(+i E tau_k) with a Hann window by default.
@@ -26,7 +29,12 @@ import numpy as np
 from .errors import AliasingError, GridMismatchError, SectorMismatchError
 from .fock import FockBasis, StateVector
 from .hamiltonian import build_hamiltonian
-from .propagator import PropagatorLadder, build_ladder, choose_base_step
+from .propagator import (
+    PropagatorLadder,
+    advance_columns,
+    build_ladder,
+    choose_base_step,
+)
 
 SERIES_KINDS = ("lesser", "greater", "keldysh", "spectral",
                 "density_forward", "density_reversed")
@@ -190,32 +198,37 @@ def _trajectory_states(ladder: PropagatorLadder, psi0: StateVector,
                        com_steps: int, q2: int, count: int) -> np.ndarray:
     """Rows psi(t + m * dtau/2) for m = -count..count."""
     states = np.empty((2 * count + 1, ladder.basis.dim), dtype=np.complex128)
+    half_step = ladder.advance(np.eye(ladder.basis.dim), q2)
     cur = ladder.advance(psi0.amplitudes, com_steps - count * q2)
     states[0] = cur
     for s in range(1, 2 * count + 1):
-        cur = ladder.advance(cur, q2)
+        cur = half_step @ cur
         states[s] = cur
     return states
 
 
-def _lower_block(basis: FockBasis, amps: np.ndarray, modes) -> np.ndarray:
-    """Columns b_m |amps> over the (N-1)-sector."""
-    src, dst, amp, target = basis.lowering_map(modes[0])
-    out = np.zeros((target.dim, len(modes)), dtype=np.complex128)
-    for c, m in enumerate(modes):
-        src, dst, amp, _ = basis.lowering_map(m)
-        out[dst, c] = amp * amps[src]
+def _mode_block(basis: FockBasis, rows: np.ndarray, modes,
+                raising: bool) -> np.ndarray:
+    """b_m (raising: b_m^dag) applied to each state row, for every mode.
+
+    Returns shape (target dim, rows, modes), so that reshaping to
+    (target dim, rows * modes) lists the modes of each row side by side.
+    """
+    maps = [basis.raising_map(m) if raising else basis.lowering_map(m)
+            for m in modes]
+    target = maps[0][3]
+    out = np.zeros((target.dim, rows.shape[0], len(modes)),
+                   dtype=np.complex128)
+    for c, (src, dst, amp, _) in enumerate(maps):
+        out[dst, :, c] = amp[:, None] * rows[:, src].T
     return out
 
 
-def _raise_block(basis: FockBasis, amps: np.ndarray, modes) -> np.ndarray:
-    """Columns b_m^dag |amps> over the (N+1)-sector."""
-    src, dst, amp, target = basis.raising_map(modes[0])
-    out = np.zeros((target.dim, len(modes)), dtype=np.complex128)
-    for c, m in enumerate(modes):
-        src, dst, amp, _ = basis.raising_map(m)
-        out[dst, c] = amp * amps[src]
-    return out
+def _chunks(k_half: int, per_k: int, dim: int):
+    """Runs of k = 0..k_half of at most dim // per_k (at least one) each."""
+    size = max(1, dim // per_k)
+    return [np.arange(lo, min(lo + size, k_half + 1))
+            for lo in range(0, k_half + 1, size)]
 
 
 def _check_modes(basis: FockBasis, pairs) -> list[tuple[int, int]]:
@@ -233,8 +246,11 @@ def single_particle_correlator_set(psi0: StateVector, ladders: SectorLadders,
                                    tau: np.ndarray):
     """Lesser and greater functions for several mode pairs in one sweep.
 
-    Shares the trajectory states and batches the sector-walks over modes;
-    returns {pair: (lesser, greater)}.
+    Shares the trajectory states. For each k the sector walks start from
+    b_m psi(t - k dtau/2) and b_m^dag psi(t - k dtau/2) for every mode m of
+    the pairs, advanced by k dtau in N-1 and N+1; tau = +k dtau and
+    -k dtau read different inner products of the same walks. Returns
+    {pair: (lesser, greater)}.
     """
     basis = ladders.center.basis
     if psi0.basis is not basis:
@@ -248,45 +264,35 @@ def single_particle_correlator_set(psi0: StateVector, ladders: SectorLadders,
     com_steps, com_actual = ladders.center.snap(com_time)
     half = _trajectory_states(ladders.center, psi0, com_steps, q2, k_half)
 
-    i_modes = sorted({p[0] for p in pairs})
-    j_modes = sorted({p[1] for p in pairs})
-    ipos = {m: c for c, m in enumerate(i_modes)}
-    jpos = {m: c for c, m in enumerate(j_modes)}
+    modes = sorted({m for p in pairs for m in p})
+    pos = {m: c for c, m in enumerate(modes)}
+    rows_i = [pos[i] for i, _ in pairs]
+    rows_j = [pos[j] for _, j in pairs]
 
     lesser = np.empty((len(pairs), tau.size), dtype=np.complex128)
     greater = np.empty_like(lesser)
 
-    for k in range(k_half + 1):
-        psi1 = half[k_half + k]
-        psi2 = half[k_half - k]
-        # tau >= 0: evolve the bra side in N-1, the ket side in N+1
-        bj2 = _lower_block(basis, psi2, j_modes)
-        bi1 = _lower_block(basis, psi1, i_modes)
-        adv = ladders.lower.advance(bj2, k * q) if k else bj2
-        cross_l = adv.conj().T @ bi1
-        cj2 = _raise_block(basis, psi2, j_modes)
-        ci1 = _raise_block(basis, psi1, i_modes)
-        advu = ladders.upper.advance(cj2, k * q) if k else cj2
-        cross_g = ci1.conj().T @ advu
-        for p, (i, j) in enumerate(pairs):
-            lesser[p, k_half + k] = -1j * cross_l[jpos[j], ipos[i]]
-            greater[p, k_half + k] = -1j * cross_g[ipos[i], jpos[j]]
-        if k == 0:
-            continue
-        # tau < 0: t1 sits below t2, the evolved side flips
-        psi1m = half[k_half - k]
-        psi2m = half[k_half + k]
-        bi1m = _lower_block(basis, psi1m, i_modes)
-        bj2m = _lower_block(basis, psi2m, j_modes)
-        advm = ladders.lower.advance(bi1m, k * q)
-        cross_lm = bj2m.conj().T @ advm
-        ci1m = _raise_block(basis, psi1m, i_modes)
-        cj2m = _raise_block(basis, psi2m, j_modes)
-        advum = ladders.upper.advance(ci1m, k * q)
-        cross_gm = advum.conj().T @ cj2m
-        for p, (i, j) in enumerate(pairs):
-            lesser[p, k_half - k] = -1j * cross_lm[jpos[j], ipos[i]]
-            greater[p, k_half - k] = -1j * cross_gm[ipos[i], jpos[j]]
+    for ks in _chunks(k_half, len(modes), basis.dim):
+        steps = np.repeat(ks * q, len(modes))
+        before, after = half[k_half - ks], half[k_half + ks]
+        shape = (-1, ks.size, len(modes))
+        # lower sector: w_m(k) = U(k dtau) b_m psi(t - k dtau/2)
+        start = _mode_block(basis, before, modes, raising=False)
+        w = advance_columns(ladders.lower, start.reshape(start.shape[0], -1),
+                            steps).reshape(shape)
+        b = _mode_block(basis, after, modes, raising=False)
+        cross_l = np.einsum("dka,dkb->kab", w.conj(), b)
+        # upper sector: v_m(k) = U(k dtau) b_m^dag psi(t - k dtau/2)
+        start = _mode_block(basis, before, modes, raising=True)
+        v = advance_columns(ladders.upper, start.reshape(start.shape[0], -1),
+                            steps).reshape(shape)
+        c = _mode_block(basis, after, modes, raising=True)
+        cross_g = np.einsum("dka,dkb->kab", c.conj(), v)
+        # tau < 0 first, so that tau = 0 (k = 0) keeps the tau > 0 reading
+        lesser[:, k_half - ks] = -1j * cross_l[:, rows_i, rows_j].conj().T
+        greater[:, k_half - ks] = -1j * cross_g[:, rows_j, rows_i].conj().T
+        lesser[:, k_half + ks] = -1j * cross_l[:, rows_j, rows_i].T
+        greater[:, k_half + ks] = -1j * cross_g[:, rows_i, rows_j].T
 
     return {pair: (TwoTimeSeries("lesser", pair, com_actual, tau, lesser[p]),
                    TwoTimeSeries("greater", pair, com_actual, tau, greater[p]))
@@ -319,24 +325,34 @@ def density_correlators(psi0: StateVector, ladders, pair, com_time: float,
     q = 2 * q2
     com_steps, com_actual = ladder.snap(com_time)
     half = _trajectory_states(ladder, psi0, com_steps, q2, k_half)
-    occ_i = basis.states[:, i].astype(float)
-    occ_j = basis.states[:, j].astype(float)
+    modes = sorted({i, j})
+    occ = basis.states[:, modes].astype(float)
+    ci, cj = modes.index(i), modes.index(j)
 
     forward = np.empty(tau.size, dtype=np.complex128)
     reverse = np.empty(tau.size, dtype=np.complex128)
-    for k in range(k_half + 1):
-        ni1 = half[k_half + k] * occ_i
-        nj2 = half[k_half - k] * occ_j
-        if k == 0:
-            forward[k_half] = np.vdot(ni1, nj2)
-            reverse[k_half] = np.vdot(nj2, ni1)
-            continue
-        forward[k_half + k] = np.vdot(ni1, ladder.advance(nj2, k * q))
-        reverse[k_half + k] = np.vdot(nj2, ladder.advance(ni1, -k * q))
-        ni1m = half[k_half - k] * occ_i
-        nj2m = half[k_half + k] * occ_j
-        forward[k_half - k] = np.vdot(ladder.advance(ni1m, k * q), nj2m)
-        reverse[k_half - k] = np.vdot(nj2m, ladder.advance(ni1m, k * q))
+    for ks in _chunks(k_half, len(modes) + 1, basis.dim):
+        before, after = half[k_half - ks], half[k_half + ks]
+        # per k: n_m psi(t - k dtau/2) by +k dtau for each mode, then
+        # n_i psi(t + k dtau/2) by -k dtau
+        start = np.concatenate(
+            [before.T[:, :, None] * occ[:, None, :],
+             (after.T * occ[:, ci, None])[:, :, None]], axis=2)
+        steps = np.outer(ks * q, [1] * len(modes) + [-1]).ravel()
+        walked = advance_columns(ladder, start.reshape(basis.dim, -1),
+                                 steps).reshape(start.shape)
+        ni_after = start[:, :, -1]
+        nj_after = after.T * occ[:, cj, None]
+        nj_before = start[:, :, cj]
+        # tau < 0 first, so that tau = 0 (k = 0) keeps the tau > 0 reading
+        forward[k_half - ks] = np.einsum("dk,dk->k", walked[:, :, ci].conj(),
+                                         nj_after)
+        reverse[k_half - ks] = np.einsum("dk,dk->k", nj_after.conj(),
+                                         walked[:, :, ci])
+        forward[k_half + ks] = np.einsum("dk,dk->k", ni_after.conj(),
+                                         walked[:, :, cj])
+        reverse[k_half + ks] = np.einsum("dk,dk->k", nj_before.conj(),
+                                         walked[:, :, -1])
     fwd = TwoTimeSeries("density_forward", (i, j), com_actual, tau, forward)
     rev = TwoTimeSeries("density_reversed", (i, j), com_actual, tau, reverse)
     return fwd, rev

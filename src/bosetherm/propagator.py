@@ -3,8 +3,12 @@
 The base propagator U0 = sum_{k<=k_max} (-i dt)^k H^k / k! is accurate for
 dt * max|H_ij| <= 0.1 (enforced). A ladder of rungs U_r = (U_{r-1})^n then
 spans n^r * dt each, so any lattice time m * dt is reached with O(log m)
-dense matrix-vector products via the base-n digits of m. Negative times use
-the adjoint rungs, which is exact for unitaries up to the Taylor truncation.
+rung applies via the base-n digits of m. PropagatorLadder.advance walks one
+vector (or one block sharing a step count) by matrix-vector products;
+advance_columns walks a block whose columns each have their own count, and
+applies every rung once to all the columns whose digit needs it, so many
+short walks share matrix-matrix products. Negative times use the adjoint
+rungs, which is exact for unitaries up to the Taylor truncation.
 
 Truncation errors add up over the effective number of base steps, so the
 base step must shrink with the horizon: choose_base_step picks dt from
@@ -203,6 +207,44 @@ def build_ladder(op: SectorOperator, config: PropagatorConfig) -> PropagatorLadd
             nxt = _unitary_projection(nxt)
         rungs.append(nxt)
     return PropagatorLadder(op.basis, config, rungs)
+
+
+def advance_columns(ladder: PropagatorLadder, block: np.ndarray,
+                    steps) -> np.ndarray:
+    """Apply U0^steps[c] to column c of a (dim, columns) block.
+
+    Each column gets the same rung products, in the same order, as
+    ladder.advance(block[:, c], steps[c]); negative counts apply the adjoint
+    rungs. Rungs are walked from the top down, and at each rung the columns
+    whose base-n digit there is nonzero share one matrix-matrix product per
+    repeat of the digit.
+    """
+    out = np.array(block, dtype=np.complex128, copy=True)
+    steps = np.asarray(steps, dtype=np.int64)
+    if out.ndim != 2 or steps.shape != (out.shape[1],):
+        raise ValueError(
+            f"need one step count per column of a 2-D block; got "
+            f"{steps.shape} counts for a block of shape {out.shape}")
+    remaining = np.abs(steps)
+    if remaining.size and int(remaining.max()) > ladder.max_steps:
+        raise UnreachableTimeError(
+            f"{int(remaining.max())} base steps exceed the ladder span "
+            f"{ladder.max_steps}")
+    forward = steps >= 0
+    n = ladder.config.branching
+    for k in range(ladder.config.depth, -1, -1):
+        digits, remaining = np.divmod(remaining, n ** k)
+        rung = ladder.rungs[k]
+        for repeat in range(1, n):
+            due = digits >= repeat
+            fwd = np.flatnonzero(due & forward)
+            if fwd.size:
+                out[:, fwd] = rung @ out[:, fwd]
+            bwd = np.flatnonzero(due & ~forward)
+            if bwd.size:
+                # (U^dag X) = (X^dag U)^dag, without a copy of the rung
+                out[:, bwd] = (out[:, bwd].conj().T @ rung).conj().T
+    return out
 
 
 def evolve_to(ladder: PropagatorLadder, state: StateVector, t: float,

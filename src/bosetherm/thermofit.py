@@ -200,9 +200,17 @@ def fit_lorentzians(spectrum: CorrelatorSpectrum, peak_count: int,
     best = _raw_lorentzian_fit(energies, data, starts)
 
     params = best.x.copy()
-    cov = _covariance(best)
-    # widths were fitted in log space; push covariance through gamma = e^x
+    # widths were fitted in log space; a log-width far below zero
+    # underflows to gamma = 0, which is no peak
     gammas = np.exp(params[2::3])
+    if not (np.all(np.isfinite(params)) and np.all(np.isfinite(gammas))
+            and np.all(gammas > 0)):
+        widths = ", ".join(f"{g:.3e}" for g in gammas)
+        raise FitConvergenceError(
+            "peak fit ended at a non-finite parameter or a width that is "
+            f"not positive (widths {widths})")
+    cov = _covariance(best)
+    # push the covariance through gamma = e^x
     jac_diag = np.ones_like(params)
     jac_diag[2::3] = gammas
     cov = cov * np.outer(jac_diag, jac_diag)

@@ -208,3 +208,111 @@ def gibbs_green_series(params, beta: float, n_top: int, mode: int,
         lesser += -1j * ((probs[n][None, :] * bme).ravel() @ phases)
         greater += -1j * ((probs[n - 1][:, None] * bme).ravel() @ phases)
     return lesser, greater
+
+
+def _stepped_trajectory(ladder, psi0: np.ndarray, com_steps: int, q2: int,
+                        count: int) -> np.ndarray:
+    """Rows psi(t + m * dtau/2), m = -count..count, one ladder advance each."""
+    states = np.empty((2 * count + 1, psi0.size), dtype=np.complex128)
+    cur = ladder.advance(psi0, com_steps - count * q2)
+    states[0] = cur
+    for s in range(1, 2 * count + 1):
+        cur = ladder.advance(cur, q2)
+        states[s] = cur
+    return states
+
+
+def _walk_grid(ladder, tau: np.ndarray, com_time: float):
+    """(K, base steps per half tau step, com steps, actual com time)."""
+    tau = np.asarray(tau, dtype=float)
+    q2 = int(round((tau[1] - tau[0]) / 2.0 / ladder.base_step))
+    com_steps, com_actual = ladder.snap(com_time)
+    return (tau.size - 1) // 2, q2, com_steps, com_actual
+
+
+def _map_columns(basis, amps: np.ndarray, modes, raising: bool) -> np.ndarray:
+    """Columns b_m |amps> (raising: b_m^dag |amps>), one per mode."""
+    columns = []
+    for m in modes:
+        src, dst, amp, target = (basis.raising_map(m) if raising
+                                 else basis.lowering_map(m))
+        col = np.zeros(target.dim, dtype=np.complex128)
+        col[dst] = amp * amps[src]
+        columns.append(col)
+    return np.stack(columns, axis=1)
+
+
+def per_k_green_walk(psi0, ladders, pairs, com_time: float, tau: np.ndarray):
+    """Lesser and greater functions with one ladder advance per tau point.
+
+    The sector walk for each k is its own chain of matrix-vector products:
+    b_j psi(t - k dtau/2) for tau > 0 and b_i psi(t - k dtau/2) for tau < 0,
+    on the lowering and raising sides. Returns two (pairs, len(tau)) arrays.
+    """
+    basis = ladders.center.basis
+    k_half, q2, com_steps, _ = _walk_grid(ladders.center, tau, com_time)
+    q = 2 * q2
+    half = _stepped_trajectory(ladders.center, psi0.amplitudes, com_steps,
+                               q2, k_half)
+    i_modes = sorted({p[0] for p in pairs})
+    j_modes = sorted({p[1] for p in pairs})
+    ipos = {m: c for c, m in enumerate(i_modes)}
+    jpos = {m: c for c, m in enumerate(j_modes)}
+    lesser = np.empty((len(pairs), len(tau)), dtype=np.complex128)
+    greater = np.empty_like(lesser)
+    for k in range(k_half + 1):
+        psi1, psi2 = half[k_half + k], half[k_half - k]
+        bj2 = _map_columns(basis, psi2, j_modes, raising=False)
+        bi1 = _map_columns(basis, psi1, i_modes, raising=False)
+        cross_l = ladders.lower.advance(bj2, k * q).conj().T @ bi1
+        cj2 = _map_columns(basis, psi2, j_modes, raising=True)
+        ci1 = _map_columns(basis, psi1, i_modes, raising=True)
+        cross_g = ci1.conj().T @ ladders.upper.advance(cj2, k * q)
+        for p, (i, j) in enumerate(pairs):
+            lesser[p, k_half + k] = -1j * cross_l[jpos[j], ipos[i]]
+            greater[p, k_half + k] = -1j * cross_g[ipos[i], jpos[j]]
+        if k == 0:
+            continue
+        bi1m = _map_columns(basis, psi2, i_modes, raising=False)
+        bj2m = _map_columns(basis, psi1, j_modes, raising=False)
+        cross_lm = bj2m.conj().T @ ladders.lower.advance(bi1m, k * q)
+        ci1m = _map_columns(basis, psi2, i_modes, raising=True)
+        cj2m = _map_columns(basis, psi1, j_modes, raising=True)
+        cross_gm = ladders.upper.advance(ci1m, k * q).conj().T @ cj2m
+        for p, (i, j) in enumerate(pairs):
+            lesser[p, k_half - k] = -1j * cross_lm[jpos[j], ipos[i]]
+            greater[p, k_half - k] = -1j * cross_gm[ipos[i], jpos[j]]
+    return lesser, greater
+
+
+def per_k_density_walk(psi0, ladder, pair, com_time: float, tau: np.ndarray):
+    """<n_i(t1) n_j(t2)> and its reverse with one ladder advance per walk.
+
+    Walks n_j psi(t - k dtau/2) by +k dtau, n_i psi(t + k dtau/2) by -k dtau
+    and n_i psi(t - k dtau/2) by +k dtau, each on its own.
+    """
+    i, j = pair
+    basis = ladder.basis
+    k_half, q2, com_steps, _ = _walk_grid(ladder, tau, com_time)
+    q = 2 * q2
+    half = _stepped_trajectory(ladder, psi0.amplitudes, com_steps, q2,
+                               k_half)
+    occ_i = basis.states[:, i].astype(float)
+    occ_j = basis.states[:, j].astype(float)
+    forward = np.empty(len(tau), dtype=np.complex128)
+    reverse = np.empty(len(tau), dtype=np.complex128)
+    for k in range(k_half + 1):
+        ni1 = half[k_half + k] * occ_i
+        nj2 = half[k_half - k] * occ_j
+        if k == 0:
+            forward[k_half] = np.vdot(ni1, nj2)
+            reverse[k_half] = np.vdot(nj2, ni1)
+            continue
+        forward[k_half + k] = np.vdot(ni1, ladder.advance(nj2, k * q))
+        reverse[k_half + k] = np.vdot(nj2, ladder.advance(ni1, -k * q))
+        ni1m = half[k_half - k] * occ_i
+        nj2m = half[k_half + k] * occ_j
+        walked = ladder.advance(ni1m, k * q)
+        forward[k_half - k] = np.vdot(walked, nj2m)
+        reverse[k_half - k] = np.vdot(nj2m, walked)
+    return forward, reverse

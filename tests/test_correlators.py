@@ -105,6 +105,41 @@ def test_density_matches_dense_heisenberg(small_setup):
     np.testing.assert_allclose(rev.values, rev_ref, atol=1e-6)
 
 
+@pytest.mark.parametrize("pairs", [
+    [(0, 0), (1, 1), (2, 2)],
+    [(0, 1), (0, 2)],            # i modes {0}, j modes {1, 2}
+    [(2, 0), (1, 1), (0, 2)],
+])
+def test_batched_green_sweep_matches_per_k_walk(small_setup, pairs):
+    ladders, psi0 = small_setup
+    tau = tau_grid(2.0, 0.25)
+    modes = {m for p in pairs for m in p}
+    # the walks of the 9 k values need at least three blocks of dim(N)
+    assert 9 * len(modes) > 2 * ladders.center.basis.dim
+    result = single_particle_correlator_set(psi0, ladders, pairs, 1.3, tau)
+    lesser_ref, greater_ref = oracles.per_k_green_walk(psi0, ladders, pairs,
+                                                       1.3, tau)
+    for p, pair in enumerate(pairs):
+        lesser, greater = result[pair]
+        np.testing.assert_allclose(lesser.values, lesser_ref[p], rtol=0,
+                                   atol=1e-12)
+        np.testing.assert_allclose(greater.values, greater_ref[p], rtol=0,
+                                   atol=1e-12)
+
+
+@pytest.mark.parametrize("pair", [(0, 2), (1, 1), (2, 0)])
+def test_batched_density_sweep_matches_per_k_walk(small_setup, pair):
+    ladders, psi0 = small_setup
+    tau = tau_grid(2.0, 0.25)
+    # at least two walks per k: the 9 k values need three blocks of dim(N)
+    assert 9 * 2 > 2 * ladders.center.basis.dim
+    fwd, rev = density_correlators(psi0, ladders, pair, 1.3, tau)
+    fwd_ref, rev_ref = oracles.per_k_density_walk(psi0, ladders.center, pair,
+                                                  1.3, tau)
+    np.testing.assert_allclose(fwd.values, fwd_ref, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(rev.values, rev_ref, rtol=0, atol=1e-12)
+
+
 def test_density_forward_reversed_are_conjugates(small_setup):
     # the two series come from different advance chains, so this is a real
     # numerical consistency check rather than an arithmetic identity

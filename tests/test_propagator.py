@@ -17,6 +17,7 @@ from bosetherm.hamiltonian import (
 )
 from bosetherm.propagator import (
     PropagatorConfig,
+    advance_columns,
     base_step,
     build_ladder,
     choose_base_step,
@@ -147,6 +148,34 @@ def test_advance_handles_matrix_columns():
     for col in range(3):
         alone = ladder.advance(block[:, col], -250)
         assert np.abs(together[:, col] - alone).max() < 1e-12
+
+
+def test_advance_columns_matches_per_column_advance():
+    rng = np.random.default_rng(15)
+    op = random_hermitian_op(20, rng)
+    ladder = build_ladder(op, PropagatorConfig(base_step=0.01, depth=6,
+                                               branching=3))
+    steps = [0, 1, -1, 250, -250, 1000, -7, ladder.max_steps, 0, 13]
+    block = (rng.normal(size=(20, len(steps)))
+             + 1j * rng.normal(size=(20, len(steps))))
+    walked = advance_columns(ladder, block, steps)
+    for col, count in enumerate(steps):
+        alone = ladder.advance(block[:, col], count)
+        assert np.abs(walked[:, col] - alone).max() < 1e-12
+    assert np.abs(walked[:, 0] - block[:, 0]).max() == 0.0
+
+
+def test_advance_columns_rejects_bad_steps():
+    rng = np.random.default_rng(16)
+    op = random_hermitian_op(10, rng)
+    ladder = build_ladder(op, PropagatorConfig(base_step=0.01, depth=3))
+    block = np.ones((10, 2), dtype=complex)
+    with pytest.raises(UnreachableTimeError):
+        advance_columns(ladder, block, [1, -(ladder.max_steps + 1)])
+    with pytest.raises(ValueError):
+        advance_columns(ladder, block, [1, 2, 3])
+    with pytest.raises(ValueError):
+        advance_columns(ladder, block[:, 0], [1])
 
 
 def test_snap_and_strict_mode():

@@ -1,9 +1,12 @@
 """Fit recovery on synthetic data plus a Gibbs-ensemble thermometer check."""
 
+import types
+
 import numpy as np
 import pytest
 
 import oracles
+from bosetherm import thermofit
 from bosetherm.correlators import CorrelatorSpectrum, TwoTimeSeries, tau_grid, to_energy
 from bosetherm.errors import (
     FitConvergenceError,
@@ -65,6 +68,22 @@ def test_seed_centers_steer_the_fit():
     assert abs(peaks.centers[0] - 8.0) < 0.05
     with pytest.raises(ValueError):
         fit_lorentzians(spectrum_of(energies, data), 2, seed_centers=[8.0])
+
+
+def test_underflowed_width_is_a_fit_failure(monkeypatch):
+    # a fitted log-width of -800 underflows exp() to a zero width
+    energies = np.linspace(0.0, 20.0, 401)
+    data = lorentzian(energies, 1.0, 10.0, 0.5)
+    stuck = types.SimpleNamespace(
+        x=np.array([1.0, 10.0, -800.0]), cost=0.0, success=True,
+        jac=np.ones((energies.size, 3)))
+    monkeypatch.setattr(thermofit, "_raw_lorentzian_fit",
+                        lambda *args: stuck)
+    with pytest.raises(FitConvergenceError):
+        fit_lorentzians(spectrum_of(energies, data), 1)
+    stuck.x = np.array([1.0, np.nan, 0.0])
+    with pytest.raises(FitConvergenceError):
+        fit_lorentzians(spectrum_of(energies, data), 1)
 
 
 def test_window_mass_correction_recovers_level_weight():
