@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 
@@ -50,20 +51,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_raw_config(path: str) -> dict:
-    from .errors import ConfigError
-    p = Path(path)
-    if not p.exists():
-        raise ConfigError(f"configuration file {p} does not exist")
-    try:
-        raw = json.loads(p.read_text())
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{p} is not valid JSON: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise ConfigError(f"{p} must hold a JSON object")
-    return raw
-
-
 def _parse_pair(text: str) -> list[int]:
     from .errors import ConfigError
     parts = text.split(",")
@@ -78,7 +65,7 @@ def _parse_pair(text: str) -> list[int]:
 def _fit_command(args) -> dict:
     from .correlators import CorrelatorSpectrum
     from .errors import ConfigError
-    from .runner import _fit_to_dict, _jsonify, read_csv
+    from .runner import _jsonify, read_csv
     from .thermofit import (fit_biexponential, fit_bose_einstein,
                             fit_fdt_beta, plateau_stats)
 
@@ -111,7 +98,7 @@ def _fit_command(args) -> dict:
     if args.model == "bose":
         sigmas = cols[names[2]] if len(names) > 2 else None
         fit = fit_bose_einstein(cols[names[0]], cols[names[1]], sigmas)
-        payload = _fit_to_dict(fit)
+        payload = asdict(fit)
         payload["model"] = "bose"
         return _jsonify(payload)
 
@@ -125,7 +112,7 @@ def _fit_command(args) -> dict:
     reverse = CorrelatorSpectrum("density_reversed", None, 0.0, energies,
                                  cols[names[2]], "rect")
     fit = fit_fdt_beta(forward, reverse, tuple(args.window))
-    payload = _fit_to_dict(fit)
+    payload = asdict(fit)
     payload["model"] = "fdt"
     return _jsonify(payload)
 
@@ -142,7 +129,7 @@ def _dispatch(args) -> int:
         runner.run(args.config)
         return 0
     if args.command == "greens" and (args.pair or args.time is not None):
-        raw = _load_raw_config(args.config)
+        raw = runner.read_config(args.config)
         meas = raw.setdefault("measurement", {})
         if args.pair:
             meas["green_pairs"] = [_parse_pair(args.pair)]

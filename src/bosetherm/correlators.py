@@ -30,7 +30,9 @@ from .errors import AliasingError, GridMismatchError, SectorMismatchError
 from .fock import FockBasis, StateVector
 from .hamiltonian import build_hamiltonian
 from .propagator import (
+    PropagatorConfig,
     PropagatorLadder,
+    _depth_for_horizon,
     advance_columns,
     build_ladder,
     choose_base_step,
@@ -150,32 +152,32 @@ class SectorLadders:
 
 def build_sector_ladders(params, horizon: float, tau_step: float | None = None,
                          target_error: float = 1e-8, neighbors: bool = True,
+                         config: PropagatorConfig | None = None,
                          **config_kwargs) -> SectorLadders:
     """Ladders for N and (optionally) N-1, N+1 with one shared base step.
 
     The step is the tightest of the per-sector choices, aligned to half the
     relative-time step when one is given, so mixed-sector walks stay on a
-    single lattice.
+    single lattice. A given config fixes the shared shape instead; the step
+    choice inputs (tau_step, target_error, config_kwargs) are then unused.
     """
     counts = [params.num_particles]
     if neighbors:
         if params.num_particles < 1:
             raise ValueError("neighbor sectors need at least one particle")
         counts += [params.num_particles - 1, params.num_particles + 1]
-    align = None if tau_step is None else tau_step / 2.0
     ops = {n: build_hamiltonian(dataclasses.replace(params, num_particles=n))
            for n in counts}
-    cfgs = [choose_base_step(ops[n], horizon, target_error=target_error,
-                             align_to=align, **config_kwargs)
-            for n in counts]
-    # min of aligned steps is still an integer divisor of the alignment
-    dt = min(c.base_step for c in cfgs)
-    branching = cfgs[0].branching
-    depth = 0
-    while (branching ** (depth + 1) - 1) * dt < horizon:
-        depth += 1
-    shared = dataclasses.replace(cfgs[0], base_step=dt, depth=depth)
-    ladders = {n: build_ladder(ops[n], shared) for n in counts}
+    if config is None:
+        align = None if tau_step is None else tau_step / 2.0
+        cfgs = [choose_base_step(ops[n], horizon, target_error=target_error,
+                                 align_to=align, **config_kwargs)
+                for n in counts]
+        # min of aligned steps is still an integer divisor of the alignment
+        dt = min(c.base_step for c in cfgs)
+        depth = _depth_for_horizon(dt, cfgs[0].branching, horizon)
+        config = dataclasses.replace(cfgs[0], base_step=dt, depth=depth)
+    ladders = {n: build_ladder(ops[n], config) for n in counts}
     return SectorLadders(
         center=ladders[params.num_particles],
         lower=ladders.get(params.num_particles - 1),

@@ -45,7 +45,6 @@ class PropagatorConfig:
     taylor_order: int = 4
     branching: int = 2
     renormalize: bool = False
-    strict_norm: bool = False  # check the step rule against rho, not max|H|
     max_rung_bytes: int = 2**31
 
     def __post_init__(self):
@@ -84,16 +83,15 @@ def estimate_spectral_radius(matrix: np.ndarray, iterations: int = 60) -> float:
 
 
 def _check_step_rule(op: SectorOperator, config: PropagatorConfig) -> None:
-    scale = (estimate_spectral_radius(op.matrix) if config.strict_norm
-             else op.max_element())
+    scale = op.max_element()
     if scale == 0.0:
         return
     limit = MAX_STEP_FACTOR / scale
     if config.base_step > limit * (1.0 + 1e-12):
         raise StepTooLargeError(
             f"base step {config.base_step:.3e} violates "
-            f"dt * {'rho' if config.strict_norm else 'max|H|'} <= "
-            f"{MAX_STEP_FACTOR}; largest admissible step is {limit:.3e}")
+            f"dt * max|H| <= {MAX_STEP_FACTOR}; largest admissible step is "
+            f"{limit:.3e}")
 
 
 def base_step(op: SectorOperator, config: PropagatorConfig) -> np.ndarray:
@@ -187,12 +185,6 @@ class PropagatorLadder:
         u = self.rungs[rung]
         return float(np.abs(u.conj().T @ u - np.eye(u.shape[0])).max())
 
-    def unitarity_probe(self) -> list[float]:
-        """Cheap per-rung norm drift on a fixed probe vector."""
-        dim = self.rungs[0].shape[0]
-        v = np.ones(dim, dtype=np.complex128) / math.sqrt(dim)
-        return [abs(float(np.linalg.norm(u @ v)) - 1.0) for u in self.rungs]
-
 
 def build_ladder(op: SectorOperator, config: PropagatorConfig) -> PropagatorLadder:
     """Build all rungs; memory use is (depth + 1) dense matrices."""
@@ -258,6 +250,14 @@ def evolve_to(ladder: PropagatorLadder, state: StateVector, t: float,
     return StateVector(ladder.basis, ladder.advance(state.amplitudes, m))
 
 
+def _depth_for_horizon(dt: float, branching: int, horizon: float) -> int:
+    """Smallest ladder depth whose span reaches the horizon."""
+    depth = 0
+    while (branching ** (depth + 1) - 1) * dt < horizon:
+        depth += 1
+    return depth
+
+
 def choose_base_step(op: SectorOperator, horizon: float,
                      target_error: float = 1e-8,
                      taylor_order: int = 4,
@@ -289,9 +289,7 @@ def choose_base_step(op: SectorOperator, horizon: float,
         if not (np.isfinite(align_to) and align_to > 0):
             raise ValueError("align_to must be positive and finite")
         dt = align_to / math.ceil(align_to / dt)
-    depth = 0
-    while (branching ** (depth + 1) - 1) * dt < horizon:
-        depth += 1
-    return PropagatorConfig(base_step=dt, depth=depth,
+    return PropagatorConfig(base_step=dt,
+                            depth=_depth_for_horizon(dt, branching, horizon),
                             taylor_order=taylor_order, branching=branching,
                             **config_kwargs)

@@ -1,12 +1,15 @@
 """Configuration-driven pipeline from couplings to temperature fits.
 
 A run is one JSON file naming the model, the initial state, and the
-measurements to take. Each pipeline stage writes plain artifacts (CSV and
-JSON) into the output directory and records itself in manifest.json, so any
-stage can be rerun later from what is already on disk. Numeric CSV fields
-carry 17 significant digits; rerunning a stage with the same configuration
-and seed rewrites byte-identical files. The manifest itself is the one
-exception, since it holds wall-clock timings.
+measurements to take. validate_config reads each block of it through one
+table that gives every key its parser and default, then checks the rules
+that span keys; each complaint is a ConfigError naming the field. Each
+pipeline stage writes plain artifacts (CSV and JSON) into the output
+directory and records itself in manifest.json, so any stage can be rerun
+later from what is already on disk. Numeric CSV fields carry 17 significant
+digits; rerunning a stage with the same configuration and seed rewrites
+byte-identical files. The manifest itself is the one exception, since it
+holds wall-clock timings.
 
 Stage order and artifacts:
 
@@ -23,12 +26,12 @@ indices are zero-based everywhere, matching the library API.
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import json
 import math
 import platform
 import time
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -37,12 +40,14 @@ import scipy
 from . import __version__
 from .errors import ConfigError, NumericsError
 from .fock import DIM_CAP, StateVector, sector_dimension
-from .hamiltonian import (EigenSystem, HamiltonianParams, build_hamiltonian,
-                          diagonalize, r_ratio)
-from .propagator import PropagatorConfig, build_ladder, choose_base_step
+from .hamiltonian import (GOE_MEAN_R, POISSON_MEAN_R, EigenSystem,
+                          HamiltonianParams, build_hamiltonian, diagonalize,
+                          r_ratio)
+from .propagator import (PropagatorConfig, _depth_for_horizon, build_ladder,
+                         choose_base_step)
 from .states import microcanonical_state, occupation_state, state_spectrum
 from .partition import build_partition, entanglement_entropy, reduced_density
-from .correlators import (WINDOW_KINDS, CorrelatorSpectrum, SectorLadders,
+from .correlators import (WINDOW_KINDS, CorrelatorSpectrum,
                           build_sector_ladders, density_correlators,
                           keldysh_and_spectral, single_particle_correlator_set,
                           tau_grid, to_energy, trace_levels)
@@ -54,13 +59,13 @@ STAGES = ("build-spectrum", "evolve", "greens", "thermometry", "chaos", "fit")
 
 OBSERVABLES = ("entropy", "occupations")
 
-# adjacent-gap-ratio landmarks quoted alongside every chaos report
-GOE_MEAN_RATIO = 0.5307
-POISSON_MEAN_RATIO = 2.0 * math.log(2.0) - 1.0
-
 
 # ---------------------------------------------------------------------------
 # configuration
+#
+# Each block is a table of key -> (parser, default). A parser maps (value,
+# path, model) to the normalized value or raises a ConfigError naming path;
+# model is the parsed model block, and a callable default is called on it.
 
 
 def _require(condition: bool, message: str) -> None:
@@ -74,76 +79,201 @@ def _check_keys(block: dict, allowed, path: str) -> None:
         _require(key in allowed, f"unknown key '{key}' in {path}")
 
 
-def _as_int(block: dict, key: str, path: str, default=None,
-            minimum=None) -> int:
-    value = block.get(key, default)
-    _require(value is not None, f"{path}.{key} is required")
-    _require(isinstance(value, int) and not isinstance(value, bool),
-             f"{path}.{key} must be an integer")
-    if minimum is not None:
-        _require(value >= minimum, f"{path}.{key} must be >= {minimum}")
-    return int(value)
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _as_float(block: dict, key: str, path: str, default=None) -> float:
-    value = block.get(key, default)
-    _require(value is not None, f"{path}.{key} is required")
-    _require(isinstance(value, (int, float)) and not isinstance(value, bool)
-             and math.isfinite(value), f"{path}.{key} must be a finite number")
-    return float(value)
+def _is_number(value) -> bool:
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and math.isfinite(value))
 
 
-def _as_mode_list(values, num_modes: int, path: str) -> list[int]:
-    _require(isinstance(values, list), f"{path} must be a list of modes")
-    out = []
-    for v in values:
-        _require(isinstance(v, int) and not isinstance(v, bool)
-                 and 0 <= v < num_modes,
-                 f"{path} entries must be mode indices in [0, {num_modes})")
-        out.append(int(v))
-    return out
+def _int(minimum=None):
+    def parse(value, path, model) -> int:
+        _require(value is not None, f"{path} is required")
+        _require(_is_int(value), f"{path} must be an integer")
+        _require(minimum is None or value >= minimum,
+                 f"{path} must be >= {minimum}")
+        return value
+    return parse
 
 
-def _as_pair_list(values, num_modes: int, path: str) -> list[list[int]]:
-    _require(isinstance(values, list), f"{path} must be a list of [i, j] pairs")
-    out = []
-    for v in values:
-        _require(isinstance(v, list) and len(v) == 2,
-                 f"{path} entries must be [i, j] pairs")
-        out.append(_as_mode_list(v, num_modes, path))
-    return out
+def _number(rule=None, text=""):
+    """A finite number; rule, when given, must hold, or '{path} must {text}'."""
+    def parse(value, path, model) -> float:
+        _require(value is not None, f"{path} is required")
+        _require(_is_number(value), f"{path} must be a finite number")
+        _require(rule is None or rule(value), f"{path} must {text}")
+        return float(value)
+    return parse
 
 
-def _validate_times(spec, path: str) -> dict:
+_positive = _number(lambda v: v > 0.0, "be positive")
+
+
+def _step(value, path, model):
+    return value if value == "auto" else _positive(value, path, model)
+
+
+def _choice(options, many=False):
+    """One of options or, when many, a list of them."""
+    def parse(value, path, model):
+        if not many:
+            _require(value in options, f"{path} must come from {options}")
+            return value
+        _require(isinstance(value, list) and all(v in options for v in value),
+                 f"{path} entries must come from {options}")
+        return list(value)
+    return parse
+
+
+def _bool(value, path, model) -> bool:
+    _require(isinstance(value, bool), f"{path} must be a boolean")
+    return value
+
+
+def _numbers(value, path, model) -> list[float]:
+    _require(isinstance(value, list), f"{path} must be a list")
+    _require(all(_is_number(v) for v in value),
+             f"{path} entries must be finite numbers")
+    return [float(v) for v in value]
+
+
+def _interval(strict: bool):
+    """[lo, hi] with lo < hi, or lo <= hi when not strict."""
+    def parse(value, path, model) -> list[float]:
+        _require(isinstance(value, list) and len(value) == 2,
+                 f"{path} must be [e_lo, e_hi]")
+        lo, hi = _numbers(value, path, model)
+        _require(lo < hi or (lo == hi and not strict), f"{path} must be ordered")
+        return [lo, hi]
+    return parse
+
+
+def _modes(value, path, model) -> list[int]:
+    num_modes = model["num_modes"]
+    _require(isinstance(value, list), f"{path} must be a list of modes")
+    _require(all(_is_int(v) and 0 <= v < num_modes for v in value),
+             f"{path} entries must be mode indices in [0, {num_modes})")
+    return list(value)
+
+
+def _pairs(value, path, model) -> list[list[int]]:
+    _require(isinstance(value, list), f"{path} must be a list of [i, j] pairs")
+    _require(all(isinstance(v, list) and len(v) == 2 for v in value),
+             f"{path} entries must be [i, j] pairs")
+    return [_modes(v, path, model) for v in value]
+
+
+def _occupation(value, path, model) -> list[int]:
+    _require(isinstance(value, list) and len(value) == model["num_modes"],
+             f"{path} must list one count per mode")
+    _require(all(_is_int(v) and v >= 0 for v in value),
+             f"{path} entries must be nonnegative integers")
+    return list(value)
+
+
+def _times(spec, path, model) -> dict:
     _require(isinstance(spec, dict), f"{path} must be an object")
     if "list" in spec:
         _check_keys(spec, {"list"}, path)
-        values = spec["list"]
-        _require(isinstance(values, list) and len(values) >= 1,
+        _require(isinstance(spec["list"], list) and len(spec["list"]) >= 1,
                  f"{path}.list must be a nonempty list")
-        out = []
-        for v in values:
-            _require(isinstance(v, (int, float)) and not isinstance(v, bool)
-                     and math.isfinite(v),
-                     f"{path}.list entries must be finite numbers")
-            out.append(float(v))
-        return {"list": sorted(out)}
-    _check_keys(spec, {"start", "stop", "count", "spacing", "include_zero"},
-                path)
-    start = _as_float(spec, "start", path)
-    stop = _as_float(spec, "stop", path)
-    count = _as_int(spec, "count", path, minimum=2)
-    spacing = spec.get("spacing", "linear")
-    _require(spacing in ("linear", "log"),
-             f"{path}.spacing must be 'linear' or 'log'")
-    include_zero = spec.get("include_zero", False)
-    _require(isinstance(include_zero, bool),
-             f"{path}.include_zero must be a boolean")
-    _require(stop > start, f"{path}.stop must exceed {path}.start")
-    if spacing == "log":
-        _require(start > 0.0, f"{path}.start must be positive for log spacing")
-    return {"start": start, "stop": stop, "count": count, "spacing": spacing,
-            "include_zero": include_zero}
+        return {"list": sorted(_numbers(spec["list"], f"{path}.list", model))}
+    grid = _read_block(spec, _TIME_GRID, path, model)
+    _require(grid["stop"] > grid["start"],
+             f"{path}.stop must exceed {path}.start")
+    if grid["spacing"] == "log":
+        _require(grid["start"] > 0.0,
+                 f"{path}.start must be positive for log spacing")
+    return grid
+
+
+def _optional(parse):
+    """A key that may also be null; null reads as a missing key."""
+    def parse_optional(value, path, model):
+        return None if value is None else parse(value, path, model)
+    parse_optional.optional = True
+    return parse_optional
+
+
+def _read_block(block, table: dict, path: str, model=None,
+                known=None) -> dict:
+    """Check the block's keys against known (default: the table's keys),
+    then parse each key of the table or take its default. A nested table
+    parses a nested block."""
+    _check_keys(block, table if known is None else known, path)
+    out = {}
+    for key, (parse, default) in table.items():
+        value = block.get(key)
+        if value is None and (key not in block
+                              or getattr(parse, "optional", False)):
+            value = default(model) if callable(default) else default
+        if isinstance(parse, dict):
+            out[key] = _read_block(value, parse, f"{path}.{key}", model)
+        else:
+            out[key] = parse(value, f"{path}.{key}", model)
+    return out
+
+
+_MODEL = {
+    "num_modes": (_int(1), None),
+    "num_particles": (_int(0), None),
+    "level_spacing": (_number(), 10.0),
+    "hopping": (_number(), 1.0),
+    "u_intra": (_number(), 1.0),
+    "u_inter": (_number(), 0.1),
+}
+
+_PROPAGATION = {
+    "base_step": (_step, "auto"),
+    "target_error": (_number(lambda v: 0.0 < v < 1.0, "sit in (0, 1)"), 1e-8),
+    "taylor_order": (_int(1), 4),
+    "branching": (_int(2), 2),
+    "depth": (_optional(_int(0)), None),
+    "horizon": (_optional(_positive), None),
+}
+
+# one table per initial_state kind; a block may name the keys of both
+_INITIAL_STATES = {
+    "occupation": {"occupation": (_occupation, None)},
+    "microcanonical": {"window": (_interval(strict=False), None),
+                       "random_phases": (_bool, False)},
+}
+
+_TIME_GRID = {
+    "start": (_number(), None),
+    "stop": (_number(), None),
+    "count": (_int(2), None),
+    "spacing": (_choice(("linear", "log")), "linear"),
+    "include_zero": (_bool, False),
+}
+
+_MEASUREMENT = {
+    "system_modes": (_modes, []),
+    "observables": (_choice(OBSERVABLES, many=True), list(OBSERVABLES)),
+    "times": (_optional(_times), None),
+    "green_pairs": (_optional(_pairs),
+                    lambda model: [[m, m] for m in range(model["num_modes"])]),
+    "density_pairs": (_pairs, []),
+    "com_times": (_numbers, []),
+    "tau_max": (_positive, 10.0),
+    "tau_step": (_positive, 0.05),
+    "energy_grid": ({"start": (_number(), -5.0),
+                     "stop": (_number(), 5.0),
+                     "count": (_int(2), 201)}, {}),
+    "window": (_choice(WINDOW_KINDS), "hann"),
+}
+
+_FITS = {
+    "peak_count": (_int(1), lambda model: model["num_modes"]),
+    "seed_centers": (_optional(_numbers), None),
+    "fdt_window": (_optional(_interval(strict=True)), None),
+    "tail_fraction": (_number(lambda v: 0.0 < v <= 1.0, "sit in (0, 1]"),
+                      0.2),
+}
+
+_CHAOS = {"window": (_optional(_interval(strict=True)), None)}
 
 
 def resolve_times(spec: dict) -> np.ndarray:
@@ -169,225 +299,89 @@ def validate_config(raw: dict, stages=None) -> dict:
     _check_keys(raw, {"model", "propagation", "initial_state", "measurement",
                       "fits", "chaos", "stages", "output_dir", "seed"},
                 "configuration")
-    cfg: dict = {}
-
-    model = raw.get("model")
-    _require(model is not None, "model block is required")
-    _check_keys(model, {"num_modes", "num_particles", "level_spacing",
-                        "hopping", "u_intra", "u_inter"}, "model")
-    num_modes = _as_int(model, "num_modes", "model", minimum=1)
-    num_particles = _as_int(model, "num_particles", "model", minimum=0)
-    dim = sector_dimension(num_modes, num_particles)
+    _require(raw.get("model") is not None, "model block is required")
+    model = _read_block(raw["model"], _MODEL, "model")
+    num_particles = model["num_particles"]
+    dim = sector_dimension(model["num_modes"], num_particles)
     _require(dim <= DIM_CAP,
              f"model sector has dimension {dim}, above the cap {DIM_CAP}")
-    cfg["model"] = {
-        "num_modes": num_modes,
-        "num_particles": num_particles,
-        "level_spacing": _as_float(model, "level_spacing", "model", 10.0),
-        "hopping": _as_float(model, "hopping", "model", 1.0),
-        "u_intra": _as_float(model, "u_intra", "model", 1.0),
-        "u_inter": _as_float(model, "u_inter", "model", 0.1),
-    }
 
-    prop = raw.get("propagation", {})
-    _check_keys(prop, {"base_step", "target_error", "taylor_order",
-                       "branching", "depth", "horizon"}, "propagation")
-    base_step = prop.get("base_step", "auto")
-    if base_step != "auto":
-        base_step = _as_float(prop, "base_step", "propagation")
-        _require(base_step > 0.0, "propagation.base_step must be positive")
-    target_error = _as_float(prop, "target_error", "propagation", 1e-8)
-    _require(0.0 < target_error < 1.0,
-             "propagation.target_error must sit in (0, 1)")
-    depth = prop.get("depth")
-    if depth is not None:
-        depth = _as_int(prop, "depth", "propagation", minimum=0)
-    horizon = prop.get("horizon")
-    if horizon is not None:
-        horizon = _as_float(prop, "horizon", "propagation")
-        _require(horizon > 0.0, "propagation.horizon must be positive")
-    cfg["propagation"] = {
-        "base_step": base_step,
-        "target_error": target_error,
-        "taylor_order": _as_int(prop, "taylor_order", "propagation", 4,
-                                minimum=1),
-        "branching": _as_int(prop, "branching", "propagation", 2, minimum=2),
-        "depth": depth,
-        "horizon": horizon,
-    }
+    prop = _read_block(raw.get("propagation", {}), _PROPAGATION, "propagation")
+    _require(prop["depth"] is None or prop["base_step"] != "auto",
+             "propagation.depth needs a numeric propagation.base_step")
 
     state = raw.get("initial_state")
     if state is not None:
-        _check_keys(state, {"kind", "occupation", "window", "random_phases"},
-                    "initial_state")
+        _require(isinstance(state, dict), "initial_state must be an object")
         kind = state.get("kind")
         _require(kind in ("occupation", "microcanonical"),
                  "initial_state.kind must be 'occupation' or 'microcanonical'")
+        state = {"kind": kind, **_read_block(
+            state, _INITIAL_STATES[kind], "initial_state", model,
+            known=("kind", "occupation", "window", "random_phases"))}
         if kind == "occupation":
-            occ = state.get("occupation")
-            _require(isinstance(occ, list) and len(occ) == num_modes,
-                     "initial_state.occupation must list one count per mode")
-            for v in occ:
-                _require(isinstance(v, int) and not isinstance(v, bool)
-                         and v >= 0,
-                         "initial_state.occupation entries must be "
-                         "nonnegative integers")
-            _require(sum(occ) == num_particles,
+            _require(sum(state["occupation"]) == num_particles,
                      f"initial_state.occupation must sum to {num_particles}")
-            cfg["initial_state"] = {"kind": kind,
-                                    "occupation": [int(v) for v in occ]}
-        else:
-            window = state.get("window")
-            _require(isinstance(window, list) and len(window) == 2,
-                     "initial_state.window must be [e_min, e_max]")
-            lo = _as_float({"lo": window[0]}, "lo", "initial_state.window")
-            hi = _as_float({"hi": window[1]}, "hi", "initial_state.window")
-            _require(lo <= hi, "initial_state.window must be ordered")
-            random_phases = state.get("random_phases", False)
-            _require(isinstance(random_phases, bool),
-                     "initial_state.random_phases must be a boolean")
-            cfg["initial_state"] = {"kind": kind, "window": [lo, hi],
-                                    "random_phases": random_phases}
-    else:
-        cfg["initial_state"] = None
 
-    meas = raw.get("measurement", {})
-    _check_keys(meas, {"system_modes", "observables", "times", "green_pairs",
-                       "density_pairs", "com_times", "tau_max", "tau_step",
-                       "energy_grid", "window"}, "measurement")
-    system_modes = _as_mode_list(meas.get("system_modes", []), num_modes,
-                                 "measurement.system_modes")
-    observables = meas.get("observables", list(OBSERVABLES))
-    _require(isinstance(observables, list) and
-             all(o in OBSERVABLES for o in observables),
-             f"measurement.observables entries must come from {OBSERVABLES}")
-    times = meas.get("times")
-    if times is not None:
-        times = _validate_times(times, "measurement.times")
-    green_pairs = meas.get("green_pairs")
-    if green_pairs is None:
-        green_pairs = [[m, m] for m in range(num_modes)]
-    else:
-        green_pairs = _as_pair_list(green_pairs, num_modes,
-                                    "measurement.green_pairs")
-    density_pairs = _as_pair_list(meas.get("density_pairs", []), num_modes,
-                                  "measurement.density_pairs")
-    com_times = meas.get("com_times", [])
-    _require(isinstance(com_times, list), "measurement.com_times must be a list")
-    com_times = [_as_float({"t": t}, "t", "measurement.com_times")
-                 for t in com_times]
-    tau_max = _as_float(meas, "tau_max", "measurement", 10.0)
-    tau_step = _as_float(meas, "tau_step", "measurement", 0.05)
-    _require(tau_max > 0.0 and tau_step > 0.0,
-             "measurement.tau_max and tau_step must be positive")
+    meas = _read_block(raw.get("measurement", {}), _MEASUREMENT, "measurement",
+                       model)
+    tau_max, tau_step = meas["tau_max"], meas["tau_step"]
     ratio = tau_max / tau_step
     _require(abs(ratio - round(ratio)) < 1e-9,
              "measurement.tau_max must be a multiple of tau_step")
-    grid = meas.get("energy_grid", {})
-    _check_keys(grid, {"start", "stop", "count"}, "measurement.energy_grid")
-    e_start = _as_float(grid, "start", "measurement.energy_grid", -5.0)
-    e_stop = _as_float(grid, "stop", "measurement.energy_grid", 5.0)
-    e_count = _as_int(grid, "count", "measurement.energy_grid", 201, minimum=2)
-    _require(e_stop > e_start,
+    grid = meas["energy_grid"]
+    _require(grid["stop"] > grid["start"],
              "measurement.energy_grid.stop must exceed start")
-    e_top = max(abs(e_start), abs(e_stop))
+    e_top = max(abs(grid["start"]), abs(grid["stop"]))
     _require(e_top * tau_step <= math.pi * (1.0 + 1e-12),
              f"energy grid reaches |E| = {e_top:g} but the tau step only "
              f"resolves |E| <= {math.pi / tau_step:g}; shrink tau_step or "
              "the grid")
-    window = meas.get("window", "hann")
-    _require(window in WINDOW_KINDS,
-             f"measurement.window must come from {WINDOW_KINDS}")
-    cfg["measurement"] = {
-        "system_modes": system_modes,
-        "observables": list(observables),
-        "times": times,
-        "green_pairs": green_pairs,
-        "density_pairs": density_pairs,
-        "com_times": com_times,
-        "tau_max": tau_max,
-        "tau_step": tau_step,
-        "energy_grid": {"start": e_start, "stop": e_stop, "count": e_count},
-        "window": window,
-    }
 
-    fits = raw.get("fits", {})
-    _check_keys(fits, {"peak_count", "seed_centers", "fdt_window",
-                       "tail_fraction"}, "fits")
-    peak_count = _as_int(fits, "peak_count", "fits", num_modes, minimum=1)
-    seed_centers = fits.get("seed_centers")
-    if seed_centers is not None:
-        _require(isinstance(seed_centers, list)
-                 and len(seed_centers) == peak_count,
-                 "fits.seed_centers must list one center per peak")
-        seed_centers = [_as_float({"c": c}, "c", "fits.seed_centers")
-                        for c in seed_centers]
-    fdt_window = fits.get("fdt_window")
-    if fdt_window is not None:
-        _require(isinstance(fdt_window, list) and len(fdt_window) == 2,
-                 "fits.fdt_window must be [e_lo, e_hi]")
-        w_lo = _as_float({"lo": fdt_window[0]}, "lo", "fits.fdt_window")
-        w_hi = _as_float({"hi": fdt_window[1]}, "hi", "fits.fdt_window")
-        _require(w_lo < w_hi, "fits.fdt_window must be ordered")
-        fdt_window = [w_lo, w_hi]
-    tail_fraction = _as_float(fits, "tail_fraction", "fits", 0.2)
-    _require(0.0 < tail_fraction <= 1.0,
-             "fits.tail_fraction must sit in (0, 1]")
-    cfg["fits"] = {"peak_count": peak_count, "seed_centers": seed_centers,
-                   "fdt_window": fdt_window, "tail_fraction": tail_fraction}
+    fits = _read_block(raw.get("fits", {}), _FITS, "fits", model)
+    _require(fits["seed_centers"] is None
+             or len(fits["seed_centers"]) == fits["peak_count"],
+             "fits.seed_centers must list one center per peak")
 
-    chaos = raw.get("chaos", {})
-    _check_keys(chaos, {"window"}, "chaos")
-    c_window = chaos.get("window")
-    if c_window is not None:
-        _require(isinstance(c_window, list) and len(c_window) == 2,
-                 "chaos.window must be [e_lo, e_hi]")
-        c_lo = _as_float({"lo": c_window[0]}, "lo", "chaos.window")
-        c_hi = _as_float({"hi": c_window[1]}, "hi", "chaos.window")
-        _require(c_lo < c_hi, "chaos.window must be ordered")
-        c_window = [c_lo, c_hi]
-    cfg["chaos"] = {"window": c_window}
-
-    stage_list = raw.get("stages", list(STAGES))
-    _require(isinstance(stage_list, list) and
-             all(s in STAGES for s in stage_list),
-             f"stages entries must come from {STAGES}")
+    stage_list = _choice(STAGES, many=True)(raw.get("stages", list(STAGES)),
+                                            "stages", model)
     _require(len(set(stage_list)) == len(stage_list),
              "stages must not repeat")
-    cfg["stages"] = [s for s in STAGES if s in stage_list]
-
     output_dir = raw.get("output_dir")
     _require(isinstance(output_dir, str) and output_dir,
              "output_dir must be a nonempty string")
-    cfg["output_dir"] = output_dir
-    cfg["seed"] = _as_int(raw, "seed", "configuration", 1)
+    cfg = {"model": model, "propagation": prop, "initial_state": state,
+           "measurement": meas, "fits": fits,
+           "chaos": _read_block(raw.get("chaos", {}), _CHAOS, "chaos"),
+           "stages": [s for s in STAGES if s in stage_list],
+           "output_dir": output_dir,
+           "seed": _int()(raw.get("seed", 1), "configuration.seed", model)}
 
     active = cfg["stages"] if stages is None else list(stages)
+    for stage in ("evolve", "greens"):
+        _require(stage not in active or state is not None,
+                 f"the {stage} stage needs an initial_state block")
     if "evolve" in active:
-        _require(cfg["initial_state"] is not None,
-                 "the evolve stage needs an initial_state block")
-        _require(cfg["measurement"]["times"] is not None,
+        _require(meas["times"] is not None,
                  "the evolve stage needs measurement.times")
-        _require("entropy" not in cfg["measurement"]["observables"]
-                 or cfg["measurement"]["system_modes"],
+        _require("entropy" not in meas["observables"] or meas["system_modes"],
                  "entropy needs a nonempty measurement.system_modes")
     if "greens" in active:
-        _require(cfg["initial_state"] is not None,
-                 "the greens stage needs an initial_state block")
-        _require(cfg["measurement"]["com_times"],
+        _require(meas["com_times"],
                  "the greens stage needs at least one measurement.com_times "
                  "entry")
-        _require(cfg["measurement"]["green_pairs"]
-                 or cfg["measurement"]["density_pairs"],
+        _require(meas["green_pairs"] or meas["density_pairs"],
                  "the greens stage needs green_pairs or density_pairs")
-    if "thermometry" in active and cfg["measurement"]["density_pairs"]:
-        _require(cfg["fits"]["fdt_window"] is not None,
+        _require(not meas["green_pairs"] or num_particles >= 1,
+                 "measurement.green_pairs needs model.num_particles >= 1")
+    if "thermometry" in active and meas["density_pairs"]:
+        _require(fits["fdt_window"] is not None,
                  "detailed-balance thermometry needs fits.fdt_window")
     return cfg
 
 
-def load_config(path) -> dict:
-    """Read and validate one JSON configuration file."""
+def read_config(path) -> dict:
+    """Read one JSON configuration file as a raw dict, unvalidated."""
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"configuration file {path} does not exist")
@@ -396,7 +390,12 @@ def load_config(path) -> dict:
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path} is not valid JSON: {exc}") from exc
     _require(isinstance(raw, dict), f"{path} must hold a JSON object")
-    return validate_config(raw)
+    return raw
+
+
+def load_config(path) -> dict:
+    """Read and validate one JSON configuration file."""
+    return validate_config(read_config(path))
 
 
 # ---------------------------------------------------------------------------
@@ -446,12 +445,12 @@ def _write_json(path, payload) -> None:
         json.dumps(_jsonify(payload), indent=2, sort_keys=True) + "\n")
 
 
-def _read_json(path, producer: str) -> dict:
-    path = Path(path)
+def _artifact(outdir: Path, name: str, producer: str) -> Path:
+    path = outdir / name
     if not path.exists():
         raise ConfigError(
-            f"missing artifact {path.name}; run the {producer} stage first")
-    return json.loads(path.read_text())
+            f"missing artifact {name}; run the {producer} stage first")
+    return path
 
 
 def _sha256(path) -> str:
@@ -467,14 +466,9 @@ def _params(cfg: dict) -> HamiltonianParams:
 
 
 def _load_eigensystem(outdir: Path, basis) -> EigenSystem:
-    spath = outdir / "spectrum.csv"
-    vpath = outdir / "eigenvectors.npy"
-    for path in (spath, vpath):
-        if not path.exists():
-            raise ConfigError(f"missing artifact {path.name}; run the "
-                              "build-spectrum stage first")
-    energies = read_csv(spath)["E_over_J"]
-    vectors = np.load(vpath)
+    energies = read_csv(_artifact(outdir, "spectrum.csv",
+                                  "build-spectrum"))["E_over_J"]
+    vectors = np.load(_artifact(outdir, "eigenvectors.npy", "build-spectrum"))
     if vectors.shape != (basis.dim, energies.size):
         raise ConfigError(
             "spectrum artifacts do not match the configured model; rerun "
@@ -500,25 +494,20 @@ def _rung_cap(dim: int) -> int:
     return max(2 ** 31, 16 * dim * dim)
 
 
-def _propagator_config(cfg: dict, op, horizon: float) -> PropagatorConfig:
+def _fixed_step_config(cfg: dict, horizon: float,
+                       dim: int) -> PropagatorConfig | None:
+    """The ladder shape of a numeric base_step; None for an automatic one."""
     prop = cfg["propagation"]
-    cap = _rung_cap(op.basis.dim)
     if prop["base_step"] == "auto":
-        return choose_base_step(op, horizon,
-                                target_error=prop["target_error"],
-                                taylor_order=prop["taylor_order"],
-                                branching=prop["branching"],
-                                max_rung_bytes=cap)
-    dt = prop["base_step"]
-    branching = prop["branching"]
+        return None
     depth = prop["depth"]
     if depth is None:
-        depth = 0
-        while (branching ** (depth + 1) - 1) * dt < horizon:
-            depth += 1
-    return PropagatorConfig(base_step=dt, depth=depth,
+        depth = _depth_for_horizon(prop["base_step"], prop["branching"],
+                                   horizon)
+    return PropagatorConfig(base_step=prop["base_step"], depth=depth,
                             taylor_order=prop["taylor_order"],
-                            branching=branching, max_rung_bytes=cap)
+                            branching=prop["branching"],
+                            max_rung_bytes=_rung_cap(dim))
 
 
 # ---------------------------------------------------------------------------
@@ -544,10 +533,14 @@ def _stage_evolve(cfg: dict, outdir: Path):
     basis = op.basis
     meas = cfg["measurement"]
     times = resolve_times(meas["times"])
+    prop = cfg["propagation"]
     horizon = max(float(np.abs(times).max()), 1e-9)
-    if cfg["propagation"]["horizon"]:
-        horizon = max(horizon, cfg["propagation"]["horizon"])
-    pcfg = _propagator_config(cfg, op, horizon)
+    if prop["horizon"]:
+        horizon = max(horizon, prop["horizon"])
+    pcfg = _fixed_step_config(cfg, horizon, basis.dim) or choose_base_step(
+        op, horizon, target_error=prop["target_error"],
+        taylor_order=prop["taylor_order"], branching=prop["branching"],
+        max_rung_bytes=_rung_cap(basis.dim))
     ladder = build_ladder(op, pcfg)
     psi0 = _initial_state(cfg, outdir, basis)
 
@@ -621,39 +614,6 @@ def _stage_evolve(cfg: dict, outdir: Path):
     return outputs, diag
 
 
-def _greens_ladders(cfg: dict, params: HamiltonianParams, horizon: float,
-                    neighbors: bool) -> SectorLadders:
-    prop = cfg["propagation"]
-    tau_step = cfg["measurement"]["tau_step"]
-    if prop["base_step"] == "auto":
-        top = params.num_particles + 1 if neighbors else params.num_particles
-        cap = _rung_cap(sector_dimension(params.num_modes, top))
-        return build_sector_ladders(params, horizon, tau_step=tau_step,
-                                    target_error=prop["target_error"],
-                                    neighbors=neighbors,
-                                    taylor_order=prop["taylor_order"],
-                                    branching=prop["branching"],
-                                    max_rung_bytes=cap)
-    counts = [params.num_particles]
-    if neighbors:
-        if params.num_particles < 1:
-            raise ConfigError("single-particle functions need at least one "
-                              "particle")
-        counts += [params.num_particles - 1, params.num_particles + 1]
-    cap = _rung_cap(max(sector_dimension(params.num_modes, n) for n in counts))
-    ladders = {}
-    shared = None
-    for n in counts:
-        op = build_hamiltonian(dataclasses.replace(params, num_particles=n))
-        if shared is None:
-            shared = dataclasses.replace(_propagator_config(cfg, op, horizon),
-                                         max_rung_bytes=cap)
-        ladders[n] = build_ladder(op, shared)
-    return SectorLadders(center=ladders[params.num_particles],
-                         lower=ladders.get(params.num_particles - 1),
-                         upper=ladders.get(params.num_particles + 1))
-
-
 def _stage_greens(cfg: dict, outdir: Path):
     params = _params(cfg)
     meas = cfg["measurement"]
@@ -667,9 +627,20 @@ def _stage_greens(cfg: dict, outdir: Path):
 
     horizon = max(abs(t) for t in com_times) + meas["tau_max"] / 2.0 \
         + meas["tau_step"]
-    if cfg["propagation"]["horizon"]:
-        horizon = max(horizon, cfg["propagation"]["horizon"])
-    ladders = _greens_ladders(cfg, params, horizon, bool(green_pairs))
+    prop = cfg["propagation"]
+    if prop["horizon"]:
+        horizon = max(horizon, prop["horizon"])
+    neighbors = bool(green_pairs)
+    top = params.num_particles + 1 if neighbors else params.num_particles
+    dim = sector_dimension(params.num_modes, top)
+    ladders = build_sector_ladders(params, horizon,
+                                   tau_step=meas["tau_step"],
+                                   target_error=prop["target_error"],
+                                   neighbors=neighbors,
+                                   config=_fixed_step_config(cfg, horizon, dim),
+                                   taylor_order=prop["taylor_order"],
+                                   branching=prop["branching"],
+                                   max_rung_bytes=_rung_cap(dim))
     psi0 = _initial_state(cfg, outdir, ladders.center.basis)
 
     outputs = []
@@ -754,28 +725,16 @@ def _stage_greens(cfg: dict, outdir: Path):
 
 def _load_spectrum_csv(outdir: Path, name: str, kind: str, pair,
                        com_time: float, index: dict) -> CorrelatorSpectrum:
-    path = outdir / name
-    if not path.exists():
-        raise ConfigError(
-            f"missing artifact {name}; run the greens stage first")
-    cols = read_csv(path)
+    cols = read_csv(_artifact(outdir, name, "greens"))
     values = cols["re"] + 1j * cols["im"]
     return CorrelatorSpectrum(kind, pair, com_time, cols["E_over_J"], values,
                               index["window"], tau_max=index["tau_max"],
                               tau_step=index["tau_step"])
 
 
-def _fit_to_dict(fit) -> dict:
-    return {"beta": fit.beta, "temperature": fit.temperature,
-            "beta_error": fit.beta_error,
-            "temperature_error": fit.temperature_error,
-            "residual": fit.residual, "points": fit.points,
-            "thermal": fit.thermal, "window": fit.window,
-            "time": fit.time, "detail": fit.detail}
-
-
 def _stage_thermometry(cfg: dict, outdir: Path):
-    index = _read_json(outdir / "greens_index.json", "greens")
+    index = json.loads(
+        _artifact(outdir, "greens_index.json", "greens").read_text())
     fits = cfg["fits"]
     peak_count = fits["peak_count"]
     level_spacing = cfg["model"]["level_spacing"]
@@ -820,7 +779,7 @@ def _stage_thermometry(cfg: dict, outdir: Path):
                 record["levels"] = levels
                 if len(points_e) >= 2:
                     bose = fit_bose_einstein(points_e, points_n)
-                    record["bose"] = _fit_to_dict(bose)
+                    record["bose"] = asdict(bose)
                     record["bose"]["time"] = t
                     bose_temperatures.append(bose.temperature)
                 else:
@@ -847,7 +806,7 @@ def _stage_thermometry(cfg: dict, outdir: Path):
         if not spectra_pairs:
             continue
         timeline = temperature_timeline(spectra_pairs, fits["fdt_window"])
-        report["fdt"][key] = [_fit_to_dict(f) for f in timeline]
+        report["fdt"][key] = [asdict(f) for f in timeline]
         fdt_temperatures[key] = [f.temperature for f in timeline]
 
     _write_json(outdir / "thermometry.json", report)
@@ -857,19 +816,16 @@ def _stage_thermometry(cfg: dict, outdir: Path):
 
 
 def _stage_chaos(cfg: dict, outdir: Path):
-    path = outdir / "spectrum.csv"
-    if not path.exists():
-        raise ConfigError("missing artifact spectrum.csv; run the "
-                          "build-spectrum stage first")
-    energies = read_csv(path)["E_over_J"]
+    energies = read_csv(_artifact(outdir, "spectrum.csv",
+                                  "build-spectrum"))["E_over_J"]
     window = cfg["chaos"]["window"]
     report = r_ratio(energies, None if window is None else tuple(window))
     payload = {"mean_ratio": report.mean_ratio,
                "gap_count": report.gap_count,
                "level_count": report.level_count,
                "window": window,
-               "goe_mean_ratio": GOE_MEAN_RATIO,
-               "poisson_mean_ratio": POISSON_MEAN_RATIO}
+               "goe_mean_ratio": GOE_MEAN_R,
+               "poisson_mean_ratio": POISSON_MEAN_R}
     _write_json(outdir / "chaos.json", payload)
     return ["chaos.json"], {"mean_ratio": report.mean_ratio}
 

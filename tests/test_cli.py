@@ -135,3 +135,26 @@ def test_fit_rejects_bad_tables(tmp_path):
     narrow = tmp_path / "one.csv"
     narrow.write_text("x\n1.0\n2.0\n")
     assert main(["fit", str(narrow), "--model", "bose"]) == 2
+
+
+def test_greens_without_particles_exits_two(tmp_path, capsys):
+    cfg = {
+        "model": {"num_modes": 3, "num_particles": 0},
+        "initial_state": {"kind": "occupation", "occupation": [0, 0, 0]},
+        "measurement": {"com_times": [1.0], "tau_max": 1.0, "tau_step": 0.1,
+                        "energy_grid": {"start": -5, "stop": 25,
+                                        "count": 61}},
+        "stages": ["greens"],
+        "output_dir": str(tmp_path / "out"),
+    }
+    assert main(["run", write_config(tmp_path / "auto.json", cfg)]) == 2
+    cfg["propagation"] = {"base_step": 0.01}
+    assert main(["run", write_config(tmp_path / "fixed.json", cfg)]) == 2
+    assert "num_particles" in capsys.readouterr().err
+
+
+def test_depth_without_fixed_step_exits_two(tmp_path, capsys):
+    cfg = rabi_config(tmp_path / "out")
+    cfg["propagation"] = {"depth": 4}
+    assert main(["run", write_config(tmp_path / "depth.json", cfg)]) == 2
+    assert "propagation.depth" in capsys.readouterr().err

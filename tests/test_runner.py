@@ -1,12 +1,14 @@
 """Pipeline tests: validation, determinism, stage wiring, artifacts."""
 
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
 from bosetherm import (ConfigError, EmptyWindowError, HamiltonianParams,
-                       build_hamiltonian, build_sector_ladders, diagonalize,
+                       PropagatorConfig, SectorLadders, build_hamiltonian,
+                       build_ladder, build_sector_ladders, diagonalize,
                        occupation_state, read_csv, resolve_times, run,
                        single_particle_correlators, tau_grid, to_energy,
                        validate_config, write_csv)
@@ -255,3 +257,97 @@ def test_greens_stage_matches_direct_calls(tmp_path):
 def test_unknown_stage_rejected(tmp_path):
     with pytest.raises(ConfigError, match="unknown stages"):
         run(rabi_config(tmp_path / "out"), stages=["warmup"])
+
+
+def test_validate_config_reads_every_key(tmp_path):
+    raw = {
+        "model": {"num_modes": 4, "num_particles": 3, "level_spacing": 7.5,
+                  "hopping": 0.5, "u_intra": 2.0, "u_inter": 0.3},
+        "propagation": {"base_step": 0.002, "target_error": 1e-6,
+                        "taylor_order": 6, "branching": 3, "depth": 9,
+                        "horizon": 50},
+        "initial_state": {"kind": "microcanonical", "window": [20, 40.0],
+                          "random_phases": True},
+        "measurement": {"system_modes": [2, 3], "observables": ["entropy"],
+                        "times": {"start": 0.5, "stop": 30, "count": 7,
+                                  "spacing": "log", "include_zero": True},
+                        "green_pairs": [[0, 1], [2, 2]],
+                        "density_pairs": [[1, 1]],
+                        "com_times": [3, 4.5], "tau_max": 4.0,
+                        "tau_step": 0.2,
+                        "energy_grid": {"start": -10, "stop": 12.0,
+                                        "count": 45},
+                        "window": "rect"},
+        "fits": {"peak_count": 2, "seed_centers": [1, 12.5],
+                 "fdt_window": [0.5, 9.0], "tail_fraction": 0.5},
+        "chaos": {"window": [5.0, 60]},
+        "stages": ["fit", "greens", "evolve", "build-spectrum"],
+        "output_dir": str(tmp_path),
+        "seed": 17,
+    }
+    expected = {
+        "model": {"num_modes": 4, "num_particles": 3, "level_spacing": 7.5,
+                  "hopping": 0.5, "u_intra": 2.0, "u_inter": 0.3},
+        "propagation": {"base_step": 0.002, "target_error": 1e-6,
+                        "taylor_order": 6, "branching": 3, "depth": 9,
+                        "horizon": 50.0},
+        "initial_state": {"kind": "microcanonical", "window": [20.0, 40.0],
+                          "random_phases": True},
+        "measurement": {"system_modes": [2, 3], "observables": ["entropy"],
+                        "times": {"start": 0.5, "stop": 30.0, "count": 7,
+                                  "spacing": "log", "include_zero": True},
+                        "green_pairs": [[0, 1], [2, 2]],
+                        "density_pairs": [[1, 1]],
+                        "com_times": [3.0, 4.5], "tau_max": 4.0,
+                        "tau_step": 0.2,
+                        "energy_grid": {"start": -10.0, "stop": 12.0,
+                                        "count": 45},
+                        "window": "rect"},
+        "fits": {"peak_count": 2, "seed_centers": [1.0, 12.5],
+                 "fdt_window": [0.5, 9.0], "tail_fraction": 0.5},
+        "chaos": {"window": [5.0, 60.0]},
+        "stages": ["build-spectrum", "evolve", "greens", "fit"],
+        "output_dir": str(tmp_path),
+        "seed": 17,
+    }
+    cfg = validate_config(raw)
+    assert cfg == expected
+    # the JSON text also tells an integer from a float
+    assert json.dumps(cfg, sort_keys=True) == \
+        json.dumps(expected, sort_keys=True)
+
+
+def test_validate_config_names_the_com_times_field(tmp_path):
+    raw = {"model": {"num_modes": 3, "num_particles": 2},
+           "measurement": {"com_times": [1.0, "late"]},
+           "stages": ["build-spectrum"], "output_dir": str(tmp_path)}
+    with pytest.raises(ConfigError) as info:
+        validate_config(raw)
+    assert "measurement.com_times" in str(info.value)
+    assert "com_times.t" not in str(info.value)
+
+
+def test_greens_stage_with_fixed_step_matches_direct_ladders(tmp_path):
+    outdir = tmp_path / "out"
+    cfg = small_quench_config(outdir)
+    # obeys dt * max|H| <= 0.1 and divides tau_step / 2
+    cfg["propagation"] = {"base_step": 0.001}
+    manifest = run(cfg, stages=["greens"])
+    # (2^12 - 1) * 0.001 is the first span to cover the horizon 3.1
+    assert manifest["stages"]["greens"]["diagnostics"]["depth"] == 11
+
+    params = HamiltonianParams(3, 2, 10.0, 1.0, 1.0, 0.1)
+    shape = PropagatorConfig(base_step=0.001, depth=11)
+    ladders = {n: build_ladder(build_hamiltonian(
+        dataclasses.replace(params, num_particles=n)), shape)
+        for n in (1, 2, 3)}
+    sectors = SectorLadders(center=ladders[2], lower=ladders[1],
+                            upper=ladders[3])
+    psi0 = occupation_state(sectors.center.basis, (2, 0, 0))
+    tau = tau_grid(2.0, 0.1)
+    lesser, _ = single_particle_correlators(psi0, sectors, (0, 0), 2.0, tau)
+    spec = to_energy(lesser, np.linspace(-5.0, 25.0, 121), window="hann")
+
+    cols = read_csv(outdir / "green_lesser_0_0_t0.csv")
+    stored = cols["re"] + 1j * cols["im"]
+    assert np.abs(stored - spec.values).max() < 1e-15
