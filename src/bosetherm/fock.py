@@ -6,6 +6,10 @@ sits at index 0 and (0, ..., 0, N) at the end. Index lookup goes through
 combinatorial ranking, O(M) per tuple, instead of a dict. Sectors are cached
 module-wide because two-time Green functions walk the N-1 and N+1 sectors
 next to N.
+
+This module owns the ladder rule: b takes sqrt(n) and annihilates n = 0,
+b^dagger takes sqrt(n + 1). `_apply_word` applies a product of them; the
+sector maps here and the Hamiltonian terms both go through it.
 """
 
 from __future__ import annotations
@@ -39,6 +43,27 @@ def _fill_states(num_modes: int, num_particles: int) -> np.ndarray:
     return np.vstack(blocks)
 
 
+def _apply_word(states: np.ndarray, word):
+    """Apply a product of ladder operators to occupation tuples.
+
+    word lists (mode, raising) factors as written, so the last factor acts
+    first. Returns (src, moved, amp) for the rows the product does not
+    annihilate: their indices into states, their occupations afterwards and
+    the amplitude, which starts at 1.0 and takes each factor's sqrt(n) or
+    sqrt(n + 1) in the order the factors act.
+    """
+    moved = states.copy()
+    amp = np.ones(states.shape[0])
+    for mode, raising in reversed(word):
+        n = moved[:, mode]  # a view: the update below moves the rows
+        # sqrt(n + 1) going up, sqrt(n) going down; a row an earlier factor
+        # annihilated can hold a negative count, and the clamp keeps it at 0
+        amp *= np.sqrt(np.maximum(n + 1.0 if raising else n, 0.0))
+        n += 1 if raising else -1
+    src = np.nonzero(amp > 0)[0]
+    return src, moved[src], amp[src]
+
+
 class FockBasis:
     """One fixed-particle-number sector.
 
@@ -66,8 +91,7 @@ class FockBasis:
             for k in range(min(n, self.num_modes) + 1):
                 choose[n, k] = math.comb(n, k)
         self._choose = choose
-        self._lowering_maps: dict[int, tuple] = {}
-        self._raising_maps: dict[int, tuple] = {}
+        self._ladder_maps: dict[tuple[int, bool], tuple] = {}
 
     def __repr__(self) -> str:
         return (f"FockBasis(num_modes={self.num_modes}, "
@@ -107,37 +131,29 @@ class FockBasis:
             raise ValueError(f"mode {mode} outside 0..{self.num_modes - 1}")
         return mode
 
+    def _ladder_map(self, mode: int, raising: bool):
+        mode = self._check_mode(mode)
+        key = (mode, raising)
+        if key not in self._ladder_maps:
+            if not raising and self.num_particles == 0:
+                raise ValueError("cannot annihilate out of the vacuum sector")
+            target = enumerate_basis(self.num_modes,
+                                     self.num_particles + (1 if raising else -1))
+            src, moved, amp = _apply_word(self.states, [(mode, raising)])
+            self._ladder_maps[key] = (src, target.index_array(moved), amp, target)
+        return self._ladder_maps[key]
+
     def lowering_map(self, mode: int):
         """(src, dst, amp) for b_mode mapping this sector into N-1.
 
         src indexes this sector, dst the (N-1)-sector, amp = sqrt(n_mode).
         The map is injective, so scattered writes need no accumulation.
         """
-        mode = self._check_mode(mode)
-        if mode not in self._lowering_maps:
-            if self.num_particles == 0:
-                raise ValueError("cannot annihilate out of the vacuum sector")
-            target = enumerate_basis(self.num_modes, self.num_particles - 1)
-            src = np.nonzero(self.states[:, mode] > 0)[0]
-            amp = np.sqrt(self.states[src, mode].astype(np.float64))
-            lowered = self.states[src].copy()
-            lowered[:, mode] -= 1
-            dst = target.index_array(lowered)
-            self._lowering_maps[mode] = (src, dst, amp, target)
-        return self._lowering_maps[mode]
+        return self._ladder_map(mode, False)
 
     def raising_map(self, mode: int):
         """(src, dst, amp) for b_mode^dagger into N+1; amp = sqrt(n+1)."""
-        mode = self._check_mode(mode)
-        if mode not in self._raising_maps:
-            target = enumerate_basis(self.num_modes, self.num_particles + 1)
-            amp = np.sqrt(self.states[:, mode].astype(np.float64) + 1.0)
-            raised = self.states.copy()
-            raised[:, mode] += 1
-            dst = target.index_array(raised)
-            src = np.arange(self.dim)
-            self._raising_maps[mode] = (src, dst, amp, target)
-        return self._raising_maps[mode]
+        return self._ladder_map(mode, True)
 
 
 @lru_cache(maxsize=None)
@@ -214,20 +230,21 @@ def overlap(bra: StateVector, ket: StateVector) -> complex:
     return complex(np.vdot(bra.amplitudes, ket.amplitudes))
 
 
-def apply_annihilation(mode: int, state: StateVector) -> StateVector:
-    """b_mode |state>, landing in the (N-1)-sector."""
-    src, dst, amp, target = state.basis.lowering_map(mode)
+def _scatter(ladder_map, state: StateVector) -> StateVector:
+    src, dst, amp, target = ladder_map
     out = np.zeros(target.dim, dtype=np.complex128)
     out[dst] = amp * state.amplitudes[src]
     return StateVector(target, out)
+
+
+def apply_annihilation(mode: int, state: StateVector) -> StateVector:
+    """b_mode |state>, landing in the (N-1)-sector."""
+    return _scatter(state.basis.lowering_map(mode), state)
 
 
 def apply_creation(mode: int, state: StateVector) -> StateVector:
     """b_mode^dagger |state>, landing in the (N+1)-sector."""
-    src, dst, amp, target = state.basis.raising_map(mode)
-    out = np.zeros(target.dim, dtype=np.complex128)
-    out[dst] = amp * state.amplitudes[src]
-    return StateVector(target, out)
+    return _scatter(state.basis.raising_map(mode), state)
 
 
 def apply_number(mode: int, state: StateVector) -> StateVector:

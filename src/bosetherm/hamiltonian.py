@@ -23,7 +23,7 @@ import numpy as np
 import scipy.linalg as la
 
 from .errors import EmptyWindowError, IntegrityError, NumericsError
-from .fock import FockBasis, StateVector, enumerate_basis
+from .fock import FockBasis, StateVector, _apply_word, enumerate_basis
 
 # reference values for the adjacent-gap ratio statistic
 GOE_MEAN_R = 0.5307
@@ -88,45 +88,24 @@ def _term_maps(params: HamiltonianParams, basis: FockBasis):
     modes = params.num_modes
 
     idx = np.arange(basis.dim)
+    # n(n-1) in closed form: the word b^dag b^dag b b would round its sqrts
     diag = (params.level_spacing * (occ * np.arange(modes)).sum(axis=1)
             + params.u_intra * (occ * (occ - 1)).sum(axis=1)).astype(float)
     yield idx, idx, diag
 
+    terms = []
     if params.hopping != 0.0:
-        for i in range(modes):
-            for j in range(modes):
-                if i == j:
-                    continue
-                src = np.nonzero(occ[:, j] > 0)[0]
-                amp = np.sqrt(occ[src, j].astype(float))
-                moved = occ[src].copy()
-                moved[:, j] -= 1
-                amp = amp * np.sqrt(moved[:, i] + 1.0)
-                moved[:, i] += 1
-                dst = basis.index_array(moved)
-                yield src, dst, params.hopping * amp
-
+        terms += [(params.hopping, ((i, True), (j, False)))
+                  for i in range(modes) for j in range(modes) if i != j]
     if params.u_inter != 0.0:
-        for i, j, l, m in itertools.product(range(modes), repeat=4):
-            if i == j == l == m:
-                continue  # that quadruple belongs to the U term
-            work = occ.copy()
-            # apply right to left: b_m, b_l, b_j^dag, b_i^dag
-            amp = np.sqrt(np.maximum(work[:, m], 0).astype(float))
-            work[:, m] -= 1
-            amp *= np.sqrt(np.maximum(work[:, l], 0).astype(float))
-            work[:, l] -= 1
-            # occupations can be negative where amp is already zero; clamp so
-            # the dead rows do not produce NaN before they are masked off
-            amp *= np.sqrt(np.maximum(work[:, j] + 1, 0).astype(float))
-            work[:, j] += 1
-            amp *= np.sqrt(np.maximum(work[:, i] + 1, 0).astype(float))
-            work[:, i] += 1
-            src = np.nonzero(amp > 0)[0]
-            if src.size == 0:
-                continue
-            dst = basis.index_array(work[src])
-            yield src, dst, params.u_inter * amp[src]
+        # i=j=l=m belongs to the U term
+        terms += [(params.u_inter, ((i, True), (j, True), (l, False), (m, False)))
+                  for i, j, l, m in itertools.product(range(modes), repeat=4)
+                  if not i == j == l == m]
+    for coefficient, word in terms:
+        src, moved, amp = _apply_word(occ, word)
+        if src.size:
+            yield src, basis.index_array(moved), coefficient * amp
 
 
 def build_hamiltonian(params: HamiltonianParams,

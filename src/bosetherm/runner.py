@@ -84,8 +84,12 @@ def _is_int(value) -> bool:
 
 
 def _is_number(value) -> bool:
-    return (isinstance(value, (int, float)) and not isinstance(value, bool)
-            and math.isfinite(value))
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # a JSON integer beyond float range
+        return False
 
 
 def _int(minimum=None):
@@ -478,8 +482,6 @@ def _load_eigensystem(outdir: Path, basis) -> EigenSystem:
 
 def _initial_state(cfg: dict, outdir: Path, basis) -> StateVector:
     block = cfg["initial_state"]
-    if block is None:
-        raise ConfigError("this stage needs an initial_state block")
     if block["kind"] == "occupation":
         return occupation_state(basis, block["occupation"])
     eig = _load_eigensystem(outdir, basis)
@@ -625,8 +627,10 @@ def _stage_greens(cfg: dict, outdir: Path):
     density_pairs = [tuple(p) for p in meas["density_pairs"]]
     com_times = meas["com_times"]
 
-    horizon = max(abs(t) for t in com_times) + meas["tau_max"] / 2.0 \
-        + meas["tau_step"]
+    # the trajectory reaches max|t| + tau_max/2, but the sector walks step a
+    # full tau_max from it, so the ladder must span both
+    horizon = max(max(abs(t) for t in com_times) + meas["tau_max"] / 2.0,
+                  meas["tau_max"]) + meas["tau_step"]
     prop = cfg["propagation"]
     if prop["horizon"]:
         horizon = max(horizon, prop["horizon"])
@@ -895,15 +899,14 @@ def _inventory(outdir: Path) -> dict:
 def run(config, stages=None) -> dict:
     """Execute pipeline stages and write manifest.json.
 
-    config is a path to a JSON file or an already-validated dict. stages
-    restricts the run to a subset (default: the config's stage list). A
-    stage failure is recorded in the manifest together with whatever
-    artifacts were already written, then re-raised.
+    config is a path to a JSON file or a raw config dict; either way it is
+    validated against the stages that run. stages restricts the run to a
+    subset (default: the config's stage list). A stage failure is recorded
+    in the manifest together with whatever artifacts were already written,
+    then re-raised.
     """
-    if isinstance(config, (str, Path)):
-        cfg = load_config(config)
-    else:
-        cfg = validate_config(config, stages=stages)
+    raw = read_config(config) if isinstance(config, (str, Path)) else config
+    cfg = validate_config(raw, stages=stages)
     if stages is None:
         stages = cfg["stages"]
     else:

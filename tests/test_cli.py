@@ -158,3 +158,25 @@ def test_depth_without_fixed_step_exits_two(tmp_path, capsys):
     cfg["propagation"] = {"depth": 4}
     assert main(["run", write_config(tmp_path / "depth.json", cfg)]) == 2
     assert "propagation.depth" in capsys.readouterr().err
+
+
+def test_greens_walks_beyond_the_centre_time_horizon(tmp_path):
+    # max|t| + tau_max/2 falls short of tau_max, the span of the sector walks
+    cfg = rabi_config(tmp_path / "out")
+    cfg["model"] = {"num_modes": 3, "num_particles": 2}
+    cfg["initial_state"] = {"kind": "occupation", "occupation": [2, 0, 0]}
+    cfg["measurement"] = {"com_times": [0.5]}
+    cfg["stages"] = ["greens"]
+    assert main(["run", write_config(tmp_path / "short.json", cfg)]) == 0
+
+
+def test_stage_command_checks_the_stage_it_runs(tmp_path, capsys):
+    cfg = {
+        "model": {"num_modes": 3, "num_particles": 0},
+        "initial_state": {"kind": "occupation", "occupation": [0, 0, 0]},
+        "measurement": {"com_times": [1.0], "tau_max": 1.0, "tau_step": 0.1},
+        "stages": ["build-spectrum"],
+        "output_dir": str(tmp_path / "out"),
+    }
+    assert main(["greens", write_config(tmp_path / "vacuum.json", cfg)]) == 2
+    assert "num_particles" in capsys.readouterr().err

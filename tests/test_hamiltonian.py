@@ -38,7 +38,8 @@ def test_two_particles_two_levels_diagonal_without_mixing():
     assert h[0, 1] == pytest.approx(0.9 * np.sqrt(2), abs=1e-14)
 
 
-@pytest.mark.parametrize("modes,particles", [(2, 3), (3, 3), (4, 2)])
+@pytest.mark.parametrize("modes,particles", [(2, 3), (3, 3), (4, 2), (1, 3),
+                                             (3, 0), (5, 1)])
 def test_matches_brute_force_product_construction(modes, particles):
     p = params_for(modes, particles, delta=7.3, j=1.0, u=0.9, uprime=0.23)
     h = build_hamiltonian(p).matrix

@@ -80,6 +80,8 @@ def test_validate_config_applies_defaults(tmp_path):
     ({"fits": {"tail_fraction": 0.0}}, "tail_fraction"),
     ({"measurement": {"times": {"start": 0.0, "stop": 1.0, "count": 5,
                                 "spacing": "cubic"}}}, "spacing"),
+    ({"model": {"num_modes": 3, "num_particles": 2, "hopping": 10 ** 400}},
+     "hopping"),
 ])
 def test_validate_config_rejects(tmp_path, patch, fragment):
     raw = {"model": {"num_modes": 3, "num_particles": 2},
