@@ -9,14 +9,18 @@ the neighbor sectors:
 
 Occupation correlators stay in the N sector. The trajectory states
 psi(t + m*dtau/2) are built once, one matrix-vector product per half step
-with U(dtau/2). Each tau point then needs O(log tau) rung applies on a few
-sector vectors; the walks of many tau points are stacked as the columns of
-one block and moved together by advance_columns, so each rung meets them as
-matrix-matrix products. Blocks hold at most dim(N) columns, which keeps the
-extra working set to a few rung-sized arrays.
+with U(dtau/2). Each tau point then needs one sector walk on a few sector
+vectors; the walks of many tau points are stacked as the columns of one
+block and moved together by advance_columns. On eigen propagators (the
+default of build_sector_ladders) a walk is exact: two real products with
+the eigenvectors around per-column phases. On ladders (an explicit
+PropagatorConfig) it takes O(log tau) rung applies, and each rung meets the
+block as matrix-matrix products. Blocks hold at most dim(N) columns, which
+keeps the extra working set to a few sector-sized arrays.
 
 The energy transform follows f(E) = dtau * sum_k w(tau_k) C(tau_k)
-exp(+i E tau_k) with a Hann window by default.
+exp(+i E tau_k) with a Hann window by default. The series of one sweep
+share their grid, so the last grid's exp(+i E tau) kernel is kept.
 """
 
 from __future__ import annotations
@@ -30,10 +34,12 @@ from .errors import AliasingError, GridMismatchError, SectorMismatchError
 from .fock import FockBasis, StateVector
 from .hamiltonian import build_hamiltonian
 from .propagator import (
+    EigenPropagator,
     PropagatorConfig,
     PropagatorLadder,
     _depth_for_horizon,
     advance_columns,
+    build_eigen_propagator,
     build_ladder,
     choose_base_step,
 )
@@ -127,12 +133,12 @@ class SectorLadders:
     """Propagators for the N and (when needed) N-1 / N+1 sectors.
 
     All ladders must share one base step so relative-time grids stay on a
-    common lattice.
+    common lattice. Each is a PropagatorLadder or an EigenPropagator.
     """
 
-    center: PropagatorLadder
-    lower: PropagatorLadder | None = None
-    upper: PropagatorLadder | None = None
+    center: PropagatorLadder | EigenPropagator
+    lower: PropagatorLadder | EigenPropagator | None = None
+    upper: PropagatorLadder | EigenPropagator | None = None
 
     def __post_init__(self):
         n = self.center.basis.num_particles
@@ -154,12 +160,14 @@ def build_sector_ladders(params, horizon: float, tau_step: float | None = None,
                          target_error: float = 1e-8, neighbors: bool = True,
                          config: PropagatorConfig | None = None,
                          **config_kwargs) -> SectorLadders:
-    """Ladders for N and (optionally) N-1, N+1 with one shared base step.
+    """Propagators for N and (optionally) N-1, N+1 with one shared base step.
 
-    The step is the tightest of the per-sector choices, aligned to half the
-    relative-time step when one is given, so mixed-sector walks stay on a
-    single lattice. A given config fixes the shared shape instead; the step
-    choice inputs (tau_step, target_error, config_kwargs) are then unused.
+    Without a config the step is the tightest of the per-sector choices,
+    aligned to half the relative-time step when one is given, so
+    mixed-sector walks stay on a single lattice, and each sector gets an
+    exact EigenPropagator on that lattice. A given config fixes the shared
+    shape instead and builds Taylor ladders; the step choice inputs
+    (tau_step, target_error, config_kwargs) are then unused.
     """
     counts = [params.num_particles]
     if neighbors:
@@ -177,14 +185,18 @@ def build_sector_ladders(params, horizon: float, tau_step: float | None = None,
         dt = min(c.base_step for c in cfgs)
         depth = _depth_for_horizon(dt, cfgs[0].branching, horizon)
         config = dataclasses.replace(cfgs[0], base_step=dt, depth=depth)
-    ladders = {n: build_ladder(ops[n], config) for n in counts}
+        build = build_eigen_propagator
+    else:
+        build = build_ladder
+    ladders = {n: build(ops[n], config) for n in counts}
     return SectorLadders(
         center=ladders[params.num_particles],
         lower=ladders.get(params.num_particles - 1),
         upper=ladders.get(params.num_particles + 1))
 
 
-def _grid_steps(ladder: PropagatorLadder, tau: np.ndarray) -> tuple[int, int]:
+def _grid_steps(ladder: PropagatorLadder | EigenPropagator,
+                tau: np.ndarray) -> tuple[int, int]:
     """(half-count K, base steps per half tau step)."""
     step = _validate_tau(np.asarray(tau, dtype=float))
     half = step / 2.0
@@ -196,8 +208,9 @@ def _grid_steps(ladder: PropagatorLadder, tau: np.ndarray) -> tuple[int, int]:
     return (len(tau) - 1) // 2, q2
 
 
-def _trajectory_states(ladder: PropagatorLadder, psi0: StateVector,
-                       com_steps: int, q2: int, count: int) -> np.ndarray:
+def _trajectory_states(ladder: PropagatorLadder | EigenPropagator,
+                       psi0: StateVector, com_steps: int, q2: int,
+                       count: int) -> np.ndarray:
     """Rows psi(t + m * dtau/2) for m = -count..count."""
     states = np.empty((2 * count + 1, ladder.basis.dim), dtype=np.complex128)
     half_step = ladder.advance(np.eye(ladder.basis.dim), q2)
@@ -394,6 +407,27 @@ def window_values(tau: np.ndarray, window: str) -> np.ndarray:
     return 0.5 * (1.0 + np.cos(np.pi * tau / tau_max))
 
 
+_kernel_cache: tuple[tuple[bytes, bytes], np.ndarray] | None = None
+
+
+def _energy_kernel(energies: np.ndarray, tau: np.ndarray) -> np.ndarray:
+    """exp(+i E tau) on a grid, reused while the grid repeats.
+
+    to_energy takes one series per call, so the kernel is kept here for the
+    calls that follow. Only the last grid's kernel is kept, and it is
+    dropped before a new one is built, so at most one kernel is ever held.
+    """
+    global _kernel_cache
+    key = (energies.tobytes(), tau.tobytes())
+    if _kernel_cache is not None and _kernel_cache[0] == key:
+        return _kernel_cache[1]
+    _kernel_cache = None
+    kernel = np.exp(1j * np.outer(energies, tau))
+    kernel.flags.writeable = False
+    _kernel_cache = (key, kernel)
+    return kernel
+
+
 def to_energy(series: TwoTimeSeries, energies: np.ndarray,
               window: str = "hann") -> CorrelatorSpectrum:
     """f(E) = dtau * sum_k w(tau_k) C(tau_k) exp(+i E tau_k).
@@ -408,8 +442,7 @@ def to_energy(series: TwoTimeSeries, energies: np.ndarray,
             f"|E| up to {emax:.4f} exceeds the Nyquist limit "
             f"{np.pi / step:.4f} of a tau step {step:.4e}")
     w = window_values(series.tau, window)
-    kernel = np.exp(1j * np.outer(energies, series.tau))
-    vals = step * (kernel @ (w * series.values))
+    vals = step * (_energy_kernel(energies, series.tau) @ (w * series.values))
     return CorrelatorSpectrum(series.kind, series.pair, series.com_time,
                               energies, vals, window,
                               tau_max=float(np.abs(series.tau).max()),

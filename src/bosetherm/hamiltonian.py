@@ -7,8 +7,9 @@ H = Delta * sum_i i * n_i                       (ladder of level energies)
 
 The last sum runs over every ordered quadruple except i=j=l=m, with no
 symmetry reduction; permutation-repeated terms are summed as written. All
-couplings are real, so the matrix comes out real symmetric; it is stored
-complex because the propagator needs complex arithmetic anyway.
+couplings are real, so the matrix comes out real symmetric. It is stored
+complex, the dtype of the states it acts on and of the Taylor ladder built
+from it; diagonalize takes its real part, so the eigenvectors are real.
 
 Energies are measured in units of J throughout (set hopping=1).
 """
@@ -157,7 +158,11 @@ class EigenSystem:
 
 
 def diagonalize(op: SectorOperator) -> EigenSystem:
-    """Full dense diagonalization; rejects non-Hermitian input."""
+    """Full dense diagonalization; rejects non-Hermitian input.
+
+    A real symmetric matrix (every model sector) gets float64 vectors, a
+    complex Hermitian one complex128 vectors.
+    """
     h = op.matrix
     scale = float(np.abs(h).max()) or 1.0
     defect = float(np.abs(h - h.conj().T).max())
@@ -167,9 +172,9 @@ def diagonalize(op: SectorOperator) -> EigenSystem:
             f"vs scale {scale:.3e}")
     try:
         if np.abs(h.imag).max() <= 1e-300:
-            # real symmetric path is four times cheaper
+            # real symmetric path is four times cheaper, and its vectors
+            # stay real: half the memory of complex ones
             energies, vectors = la.eigh(h.real)
-            vectors = vectors.astype(np.complex128)
         else:
             energies, vectors = la.eigh(h)
     except la.LinAlgError as exc:

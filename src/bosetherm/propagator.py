@@ -1,19 +1,32 @@
-"""Long-horizon propagation by recursive powering of a Taylor step.
+"""Long-horizon propagation on a lattice of base steps, two ways.
 
-The base propagator U0 = sum_{k<=k_max} (-i dt)^k H^k / k! is accurate for
-dt * max|H_ij| <= 0.1 (enforced). A ladder of rungs U_r = (U_{r-1})^n then
-spans n^r * dt each, so any lattice time m * dt is reached with O(log m)
-rung applies via the base-n digits of m. PropagatorLadder.advance walks one
-vector (or one block sharing a step count) by matrix-vector products;
-advance_columns walks a block whose columns each have their own count, and
-applies every rung once to all the columns whose digit needs it, so many
-short walks share matrix-matrix products. Negative times use the adjoint
-rungs, which is exact for unitaries up to the Taylor truncation.
+PropagatorConfig fixes the lattice: times m * dt for |m| up to the span of
+a ladder of the given depth. choose_base_step picks dt from the Taylor
+error model below and the smallest depth whose span reaches the horizon.
+Both propagators below share that lattice, snap() and the span check, so
+snapped times do not depend on which one runs.
 
-Truncation errors add up over the effective number of base steps, so the
-base step must shrink with the horizon: choose_base_step picks dt from
+PropagatorLadder (the paper's method). The base propagator
+U0 = sum_{k<=k_max} (-i dt)^k H^k / k! is accurate for dt * max|H_ij| <= 0.1
+(enforced). A ladder of rungs U_r = (U_{r-1})^n then spans n^r * dt each, so
+any lattice time m * dt is reached with O(log m) rung applies via the base-n
+digits of m. PropagatorLadder.advance walks one vector (or one block sharing
+a step count) by matrix-vector products; advance_columns walks a block whose
+columns each have their own count, and applies every rung once to all the
+columns whose digit needs it, so many short walks share matrix-matrix
+products. Negative times use the adjoint rungs, which is exact for unitaries
+up to the Taylor truncation. Truncation errors add up over the effective
+number of base steps, so the base step must shrink with the horizon:
+choose_base_step picks dt from
 horizon * rho^(k+1) * dt^k / (k+1)! <= target (rho estimated by power
-iteration) intersected with the max-element rule above.
+iteration) intersected with the max-element rule above. Memory is depth + 1
+dense complex rungs.
+
+EigenPropagator (exact). One diagonalization H = V E V^T gives
+U0^m = V exp(-i E m dt) V^T for any m, with no truncation, from one real
+dim x dim matrix when H is real symmetric (the model's is). advance and
+advance_columns move a block into the eigenbasis, multiply each column by
+its own phases and move it back, all columns at once.
 """
 
 from __future__ import annotations
@@ -22,7 +35,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as la
 
 from .errors import (
     CapacityError,
@@ -31,20 +43,23 @@ from .errors import (
     UnreachableTimeError,
 )
 from .fock import StateVector
-from .hamiltonian import SectorOperator
+from .hamiltonian import SectorOperator, diagonalize
 
 MAX_STEP_FACTOR = 0.1
 
 
 @dataclass(frozen=True)
 class PropagatorConfig:
-    """Shape of the propagator ladder."""
+    """Shape of the propagator ladder, and the lattice of both propagators.
+
+    max_rung_bytes caps one dense matrix: a complex rung of the ladder, or
+    the real eigenvectors of the eigen propagator.
+    """
 
     base_step: float
     depth: int
     taylor_order: int = 4
     branching: int = 2
-    renormalize: bool = False
     max_rung_bytes: int = 2**31
 
     def __post_init__(self):
@@ -110,11 +125,6 @@ def base_step(op: SectorOperator, config: PropagatorConfig) -> np.ndarray:
         term = (scaled @ term) / k
         u += term
     return u
-
-
-def _unitary_projection(u: np.ndarray) -> np.ndarray:
-    w, _, vh = la.svd(u)
-    return w @ vh
 
 
 class PropagatorLadder:
@@ -194,22 +204,87 @@ def build_ladder(op: SectorOperator, config: PropagatorConfig) -> PropagatorLadd
             f"one rung needs {rung_bytes} bytes > cap {config.max_rung_bytes}")
     rungs = [base_step(op, config)]
     for _ in range(config.depth):
-        nxt = np.linalg.matrix_power(rungs[-1], config.branching)
-        if config.renormalize:
-            nxt = _unitary_projection(nxt)
-        rungs.append(nxt)
+        rungs.append(np.linalg.matrix_power(rungs[-1], config.branching))
     return PropagatorLadder(op.basis, config, rungs)
 
 
-def advance_columns(ladder: PropagatorLadder, block: np.ndarray,
-                    steps) -> np.ndarray:
+def _times(matrix: np.ndarray, block: np.ndarray) -> np.ndarray:
+    """matrix @ block for a complex block, without casting a real matrix.
+
+    A real matrix takes the real and imaginary parts of the columns as the
+    columns of one real product.
+    """
+    block = np.ascontiguousarray(block, dtype=np.complex128)
+    if np.iscomplexobj(matrix):
+        return matrix @ block
+    return (matrix @ block.view(np.float64)).view(np.complex128)
+
+
+class EigenPropagator:
+    """Exact U0^m = V exp(-i E m dt) V^dag on the lattice of a config.
+
+    It has the ladder's interface and span check, so callers need not know
+    which of the two they hold; config.depth only sets the span, since no
+    rungs are built.
+    """
+
+    # the lattice, its span and the snapping rule are the ladder's
+    base_step = PropagatorLadder.base_step
+    max_steps = PropagatorLadder.max_steps
+    span = PropagatorLadder.span
+    snap = PropagatorLadder.snap
+
+    def __init__(self, basis, config: PropagatorConfig, energies: np.ndarray,
+                 vectors: np.ndarray):
+        self.basis = basis
+        self.config = config
+        self.energies = energies
+        self.vectors = vectors
+        self._adjoint = (vectors.conj().T if np.iscomplexobj(vectors)
+                         else vectors.T)
+
+    def advance(self, amplitudes: np.ndarray, steps: int) -> np.ndarray:
+        """Apply U0^steps to a vector or the columns of a matrix."""
+        if abs(steps) > self.max_steps:
+            raise UnreachableTimeError(
+                f"{abs(steps)} base steps exceed the ladder span "
+                f"{self.max_steps}")
+        amps = np.asarray(amplitudes)
+        block = amps.reshape(amps.shape[0], -1)
+        out = self._phase_columns(block, np.full(block.shape[1], int(steps)))
+        return out.reshape(amps.shape)
+
+    def _phase_columns(self, block: np.ndarray,
+                       steps: np.ndarray) -> np.ndarray:
+        """Column c times exp(-i E steps[c] dt) in the eigenbasis."""
+        coeff = _times(self._adjoint, block)
+        coeff *= np.exp(-1j * np.outer(self.energies, steps * self.base_step))
+        return _times(self.vectors, coeff)
+
+
+def build_eigen_propagator(op: SectorOperator,
+                           config: PropagatorConfig) -> EigenPropagator:
+    """Diagonalize once; memory use is one dense matrix of eigenvectors,
+    real for a real symmetric H. The cap is checked before diagonalizing."""
+    vector_bytes = 8 * op.basis.dim ** 2
+    if vector_bytes > config.max_rung_bytes:
+        raise CapacityError(
+            f"the eigenvectors need {vector_bytes} bytes > cap "
+            f"{config.max_rung_bytes}")
+    eig = diagonalize(op)
+    return EigenPropagator(op.basis, config, eig.energies, eig.vectors)
+
+
+def advance_columns(ladder: PropagatorLadder | EigenPropagator,
+                    block: np.ndarray, steps) -> np.ndarray:
     """Apply U0^steps[c] to column c of a (dim, columns) block.
 
-    Each column gets the same rung products, in the same order, as
-    ladder.advance(block[:, c], steps[c]); negative counts apply the adjoint
-    rungs. Rungs are walked from the top down, and at each rung the columns
-    whose base-n digit there is nonzero share one matrix-matrix product per
-    repeat of the digit.
+    On a ladder each column gets the same rung products, in the same order,
+    as ladder.advance(block[:, c], steps[c]); negative counts apply the
+    adjoint rungs. Rungs are walked from the top down, and at each rung the
+    columns whose base-n digit there is nonzero share one matrix-matrix
+    product per repeat of the digit. An eigen propagator moves the whole
+    block into the eigenbasis and back, with each column's own phases.
     """
     out = np.array(block, dtype=np.complex128, copy=True)
     steps = np.asarray(steps, dtype=np.int64)
@@ -222,6 +297,8 @@ def advance_columns(ladder: PropagatorLadder, block: np.ndarray,
         raise UnreachableTimeError(
             f"{int(remaining.max())} base steps exceed the ladder span "
             f"{ladder.max_steps}")
+    if isinstance(ladder, EigenPropagator):
+        return ladder._phase_columns(out, steps)
     forward = steps >= 0
     n = ladder.config.branching
     for k in range(ladder.config.depth, -1, -1):
@@ -239,8 +316,8 @@ def advance_columns(ladder: PropagatorLadder, block: np.ndarray,
     return out
 
 
-def evolve_to(ladder: PropagatorLadder, state: StateVector, t: float,
-              snap: bool = True) -> StateVector:
+def evolve_to(ladder: PropagatorLadder | EigenPropagator, state: StateVector,
+              t: float, snap: bool = True) -> StateVector:
     """Propagate a state to (the lattice time nearest) t."""
     if state.basis is not ladder.basis:
         raise SectorMismatchError(

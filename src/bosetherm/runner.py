@@ -43,7 +43,8 @@ from .fock import DIM_CAP, StateVector, sector_dimension
 from .hamiltonian import (GOE_MEAN_R, POISSON_MEAN_R, EigenSystem,
                           HamiltonianParams, build_hamiltonian, diagonalize,
                           r_ratio)
-from .propagator import (PropagatorConfig, _depth_for_horizon, build_ladder,
+from .propagator import (PropagatorConfig, _depth_for_horizon,
+                         build_eigen_propagator, build_ladder,
                          choose_base_step)
 from .states import microcanonical_state, occupation_state, state_spectrum
 from .partition import build_partition, entanglement_entropy, reduced_density
@@ -539,11 +540,17 @@ def _stage_evolve(cfg: dict, outdir: Path):
     horizon = max(float(np.abs(times).max()), 1e-9)
     if prop["horizon"]:
         horizon = max(horizon, prop["horizon"])
-    pcfg = _fixed_step_config(cfg, horizon, basis.dim) or choose_base_step(
-        op, horizon, target_error=prop["target_error"],
-        taylor_order=prop["taylor_order"], branching=prop["branching"],
-        max_rung_bytes=_rung_cap(basis.dim))
-    ladder = build_ladder(op, pcfg)
+    # a numeric base_step runs the Taylor ladder; the automatic one only
+    # picks the time lattice, on which the eigenbasis evolution is exact
+    pcfg = _fixed_step_config(cfg, horizon, basis.dim)
+    if pcfg is not None:
+        ladder = build_ladder(op, pcfg)
+    else:
+        pcfg = choose_base_step(
+            op, horizon, target_error=prop["target_error"],
+            taylor_order=prop["taylor_order"], branching=prop["branching"],
+            max_rung_bytes=_rung_cap(basis.dim))
+        ladder = build_eigen_propagator(op, pcfg)
     psi0 = _initial_state(cfg, outdir, basis)
 
     outputs = []

@@ -18,6 +18,7 @@ Jacobian at the solution.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -147,10 +148,14 @@ def _pick_peaks(energies: np.ndarray, data: np.ndarray, count: int,
     return np.asarray(sorted(chosen))
 
 
+@functools.lru_cache(maxsize=16)
 def window_weight_scale(tau_max: float, tau_step: float,
                         window: str = "hann") -> float:
     """Fitted Lorentzian weight a unit-mass level acquires through the
-    windowed transform; divide fitted weights by this to undo it."""
+    windowed transform; divide fitted weights by this to undo it.
+
+    It depends on the grid alone, so each grid is fitted once per process.
+    """
     tau = tau_grid(tau_max, tau_step)
     w = window_values(tau, window)
     lobe = 2.0 * np.pi / tau_max

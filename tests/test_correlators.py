@@ -27,7 +27,13 @@ from bosetherm.errors import (
 )
 from bosetherm.fock import StateVector, apply_number, enumerate_basis
 from bosetherm.hamiltonian import HamiltonianParams, build_hamiltonian
-from bosetherm.propagator import PropagatorConfig, build_ladder, evolve_to
+from bosetherm.propagator import (
+    EigenPropagator,
+    PropagatorConfig,
+    PropagatorLadder,
+    build_ladder,
+    evolve_to,
+)
 
 import oracles
 
@@ -48,6 +54,14 @@ def small_setup():
     ladders = build_sector_ladders(PARAMS_M3N2, horizon=8.0, tau_step=0.25)
     psi0 = random_state(ladders.center.basis, seed=7)
     return ladders, psi0
+
+
+@pytest.fixture(scope="module")
+def ladder_setup(small_setup):
+    """Taylor ladders on the lattice of small_setup's eigen propagators."""
+    eigen, psi0 = small_setup
+    return build_sector_ladders(PARAMS_M3N2, horizon=8.0,
+                                config=eigen.center.config), psi0
 
 
 def test_tau_grid_is_symmetric_and_uniform():
@@ -360,3 +374,106 @@ def test_wrong_sector_state_rejected(small_setup):
     with pytest.raises(SectorMismatchError):
         single_particle_correlators(foreign, ladders, (0, 0), 1.0,
                                     tau_grid(1.0, 0.25))
+
+
+def test_build_sector_ladders_picks_eigen_without_a_config(small_setup,
+                                                          ladder_setup):
+    eigen, _ = small_setup
+    ladders, _ = ladder_setup
+    for lad in (eigen.center, eigen.lower, eigen.upper):
+        assert isinstance(lad, EigenPropagator)
+        assert lad.vectors.dtype == np.float64
+    for lad in (ladders.center, ladders.lower, ladders.upper):
+        assert isinstance(lad, PropagatorLadder)
+        assert lad.config is eigen.center.config
+
+
+def test_eigen_sectors_match_ladder_sectors(small_setup, ladder_setup):
+    # the ladders carry the Taylor truncation of target_error 1e-8
+    eigen, psi0 = small_setup
+    ladders, _ = ladder_setup
+    tau = tau_grid(2.0, 0.25)
+    pairs = [(0, 0), (1, 2), (2, 0)]
+    got = single_particle_correlator_set(psi0, eigen, pairs, 1.3, tau)
+    want = single_particle_correlator_set(psi0, ladders, pairs, 1.3, tau)
+    for pair in pairs:
+        for a, b in zip(got[pair], want[pair]):
+            assert a.com_time == b.com_time
+            np.testing.assert_allclose(a.values, b.values, rtol=0, atol=1e-8)
+    for a, b in zip(density_correlators(psi0, eigen, (0, 2), 1.3, tau),
+                    density_correlators(psi0, ladders, (0, 2), 1.3, tau)):
+        np.testing.assert_allclose(a.values, b.values, rtol=0, atol=1e-8)
+
+
+@pytest.mark.parametrize("pairs", [[(0, 0), (1, 1), (2, 2)], [(2, 0), (0, 2)]])
+def test_batched_green_sweep_matches_per_k_walk_on_ladders(ladder_setup,
+                                                           pairs):
+    ladders, psi0 = ladder_setup
+    tau = tau_grid(2.0, 0.25)
+    result = single_particle_correlator_set(psi0, ladders, pairs, 1.3, tau)
+    lesser_ref, greater_ref = oracles.per_k_green_walk(psi0, ladders, pairs,
+                                                       1.3, tau)
+    for p, pair in enumerate(pairs):
+        lesser, greater = result[pair]
+        np.testing.assert_allclose(lesser.values, lesser_ref[p], rtol=0,
+                                   atol=1e-12)
+        np.testing.assert_allclose(greater.values, greater_ref[p], rtol=0,
+                                   atol=1e-12)
+
+
+def test_batched_density_sweep_matches_per_k_walk_on_ladders(ladder_setup):
+    ladders, psi0 = ladder_setup
+    tau = tau_grid(2.0, 0.25)
+    fwd, rev = density_correlators(psi0, ladders, (0, 2), 1.3, tau)
+    fwd_ref, rev_ref = oracles.per_k_density_walk(psi0, ladders.center,
+                                                  (0, 2), 1.3, tau)
+    np.testing.assert_allclose(fwd.values, fwd_ref, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(rev.values, rev_ref, rtol=0, atol=1e-12)
+
+
+def test_eigen_sectors_match_ladder_sectors_at_six_particles():
+    params = HamiltonianParams(num_modes=5, num_particles=6,
+                               level_spacing=10.0, hopping=1.0,
+                               u_intra=1.0, u_inter=0.1)
+    eigen = build_sector_ladders(params, horizon=3.0, tau_step=0.5)
+    ladders = build_sector_ladders(params, horizon=3.0,
+                                   config=eigen.center.config)
+    psi0 = random_state(eigen.center.basis, seed=19)
+    tau = tau_grid(1.0, 0.5)
+    got = single_particle_correlator_set(psi0, eigen, [(0, 0), (3, 1)], 2.0,
+                                         tau)
+    want = single_particle_correlator_set(psi0, ladders, [(0, 0), (3, 1)],
+                                          2.0, tau)
+    for pair in got:
+        for a, b in zip(got[pair], want[pair]):
+            np.testing.assert_allclose(a.values, b.values, rtol=0, atol=1e-8)
+    walks = oracles.per_k_green_walk(psi0, eigen, [(0, 0), (3, 1)], 2.0, tau)
+    for p, pair in enumerate(got):
+        for series, ref in zip(got[pair], walks):
+            np.testing.assert_allclose(series.values, ref[p], rtol=0,
+                                       atol=1e-12)
+
+
+def test_to_energy_reuses_its_kernel_bit_for_bit(small_setup):
+    import bosetherm.correlators as correlators
+
+    ladders, psi0 = small_setup
+    tau = tau_grid(2.0, 0.25)
+    lesser, greater = single_particle_correlators(psi0, ladders, (0, 0), 1.0,
+                                                  tau)
+    grid_a = np.linspace(-4.0, 4.0, 9)
+    grid_b = np.linspace(-3.0, 5.0, 17)
+
+    def direct(series, energies):
+        # the transform as written before the kernel was kept
+        w = window_values(series.tau, "hann")
+        kernel = np.exp(1j * np.outer(energies, series.tau))
+        return series.tau_step * (kernel @ (w * series.values))
+
+    for series, grid in ((lesser, grid_a), (greater, grid_a),
+                         (lesser, grid_b), (greater, grid_a.copy())):
+        spec = to_energy(series, grid)
+        assert np.array_equal(spec.values, direct(series, grid))
+        key, kernel = correlators._kernel_cache
+        assert key == (grid.tobytes(), tau.tobytes())
+        assert kernel.shape == (grid.size, tau.size)

@@ -100,6 +100,19 @@ def test_diagonalize_reconstructs():
     assert np.abs(recon - op.matrix).max() < 1e-10
 
 
+def test_diagonalize_keeps_real_vectors_real():
+    op = build_hamiltonian(params_for(3, 3))
+    eig = diagonalize(op)
+    assert eig.vectors.dtype == np.float64
+    assert eig.energies.dtype == np.float64
+    assert np.abs(eig.vectors.T @ eig.vectors - np.eye(op.basis.dim)).max() \
+        < 1e-12
+    complex_op = SectorOperator(op.basis, op.matrix + 1e-3j * (
+        np.triu(np.ones_like(op.matrix.real), 1)
+        - np.tril(np.ones_like(op.matrix.real), -1)))
+    assert diagonalize(complex_op).vectors.dtype == np.complex128
+
+
 def test_diagonalize_rejects_non_hermitian():
     basis = enumerate_basis(2, 1)
     bad = SectorOperator(basis, np.array([[0.0, 1.0], [0.0, 0.0]],

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
 import oracles
 from bosetherm import StateVector, enumerate_basis
@@ -16,14 +17,19 @@ from bosetherm.hamiltonian import (
     diagonalize,
 )
 from bosetherm.propagator import (
+    EigenPropagator,
     PropagatorConfig,
     advance_columns,
     base_step,
+    build_eigen_propagator,
     build_ladder,
     choose_base_step,
     estimate_spectral_radius,
     evolve_to,
 )
+
+# (modes, particles) of the model sectors the eigen propagator is checked on
+EIGEN_SECTORS = [(3, 2), (5, 6)]
 
 
 def random_hermitian_op(dim, rng, scale=1.0):
@@ -217,17 +223,6 @@ def test_sector_mismatch_rejected():
         evolve_to(ladder, psi, 0.01)
 
 
-def test_renormalize_restores_unitarity():
-    rng = np.random.default_rng(14)
-    op = random_hermitian_op(16, rng)
-    dt = 0.1 / op.max_element()  # deliberately coarse
-    plain = build_ladder(op, PropagatorConfig(base_step=dt, depth=10))
-    fixed = build_ladder(op, PropagatorConfig(base_step=dt, depth=10,
-                                              renormalize=True))
-    assert fixed.unitarity_defect(10) < 1e-12
-    assert fixed.unitarity_defect(10) <= plain.unitarity_defect(10)
-
-
 def test_choose_base_step_alignment():
     p = HamiltonianParams(num_modes=3, num_particles=2, level_spacing=10.0,
                           hopping=1.0, u_intra=1.0, u_inter=0.1)
@@ -259,3 +254,126 @@ def test_trap_model_long_horizon_conservation():
         e_t = float(np.vdot(moved.amplitudes,
                             op.matrix @ moved.amplitudes).real)
         assert abs(e_t - e0) <= 1e-6 * abs(e0)
+
+
+def model_op(modes, particles):
+    return build_hamiltonian(HamiltonianParams(
+        num_modes=modes, num_particles=particles, level_spacing=10.0,
+        hopping=1.0, u_intra=1.0, u_inter=0.1))
+
+
+@pytest.mark.parametrize("sector", EIGEN_SECTORS)
+def test_eigen_advance_matches_exact_states(sector):
+    op = model_op(*sector)
+    eig = diagonalize(op)
+    prop = build_eigen_propagator(op, choose_base_step(op, horizon=100.0))
+    rng = np.random.default_rng(21)
+    psi0 = random_unit(op.basis.dim, rng)
+    for m in [0, 1, -1, 4321, -4321, prop.max_steps, -prop.max_steps]:
+        got = prop.advance(psi0, m)
+        want = oracles.exact_evolve(eig.energies, eig.vectors, psi0,
+                                    m * prop.base_step)
+        assert got.shape == psi0.shape
+        assert np.abs(got - want).max() < 1e-12
+    block = rng.normal(size=(op.basis.dim, 3)) + 0j
+    together = prop.advance(block, -777)
+    for col in range(3):
+        want = oracles.exact_evolve(eig.energies, eig.vectors,
+                                    block[:, col], -777 * prop.base_step)
+        assert np.abs(together[:, col] - want).max() < 1e-12
+    state = StateVector(op.basis, psi0)
+    for t in [0.0, 0.37, 13.0, -61.5, 99.9]:
+        _, actual = prop.snap(t)
+        want = oracles.exact_evolve(eig.energies, eig.vectors, psi0, actual)
+        assert np.abs(evolve_to(prop, state, t).amplitudes - want).max() \
+            < 1e-12
+
+
+def test_eigen_advance_matches_matrix_exponential():
+    # an oracle that does not go through diagonalize
+    op = model_op(3, 2)
+    prop = build_eigen_propagator(op, choose_base_step(op, horizon=10.0))
+    psi0 = random_unit(op.basis.dim, np.random.default_rng(22))
+    m, actual = prop.snap(1.7)
+    want = sla.expm(-1j * actual * op.matrix) @ psi0
+    assert np.abs(prop.advance(psi0, m) - want).max() < 1e-12
+
+
+@pytest.mark.parametrize("sector", EIGEN_SECTORS)
+def test_eigen_advance_columns_matches_exact_states(sector):
+    op = model_op(*sector)
+    eig = diagonalize(op)
+    prop = build_eigen_propagator(op, choose_base_step(op, horizon=50.0))
+    rng = np.random.default_rng(23)
+    top = prop.max_steps
+    steps = [0, 1, -1, 250, -250, top, -top, 0, 13, top - 1]
+    block = (rng.normal(size=(op.basis.dim, len(steps)))
+             + 1j * rng.normal(size=(op.basis.dim, len(steps))))
+    walked = advance_columns(prop, block, steps)
+    for col, count in enumerate(steps):
+        want = oracles.exact_evolve(eig.energies, eig.vectors, block[:, col],
+                                    count * prop.base_step)
+        assert np.abs(walked[:, col] - want).max() < 1e-12
+        assert np.abs(walked[:, col] - prop.advance(block[:, col], count)
+                      ).max() < 1e-12
+    # a transposed (Fortran-ordered) block walks the same way
+    again = advance_columns(prop, np.asfortranarray(block), steps)
+    assert np.abs(again - walked).max() < 1e-12
+    with pytest.raises(UnreachableTimeError):
+        advance_columns(prop, block[:, :2], [1, -(top + 1)])
+    with pytest.raises(UnreachableTimeError):
+        prop.advance(block[:, 0], top + 1)
+    with pytest.raises(ValueError):
+        advance_columns(prop, block[:, 0], [1])
+
+
+def test_eigen_propagator_keeps_the_ladder_lattice():
+    op = model_op(3, 2)
+    cfg = choose_base_step(op, horizon=30.0, align_to=0.01)
+    ladder = build_ladder(op, cfg)
+    prop = build_eigen_propagator(op, cfg)
+    assert prop.config is cfg
+    assert (prop.base_step, prop.max_steps, prop.span) == \
+        (ladder.base_step, ladder.max_steps, ladder.span)
+    for t in [0.0, 0.034, 7.77, -29.9]:
+        assert prop.snap(t) == ladder.snap(t)
+    with pytest.raises(UnreachableTimeError):
+        prop.snap(2.0 * prop.span)
+    with pytest.raises(UnreachableTimeError):
+        prop.snap(0.034, strict=True)
+    # the two agree to the ladder's own truncation (target_error 1e-8)
+    psi0 = random_unit(op.basis.dim, np.random.default_rng(24))
+    m, _ = prop.snap(29.0)
+    assert np.abs(prop.advance(psi0, m) - ladder.advance(psi0, m)).max() \
+        < 1e-8
+
+
+def test_eigen_memory_cap_checked_before_diagonalizing(monkeypatch):
+    import bosetherm.propagator as propagator
+
+    op = model_op(3, 2)
+    dim = op.basis.dim
+    calls = []
+    real = propagator.diagonalize
+    monkeypatch.setattr(propagator, "diagonalize",
+                        lambda o: calls.append(o) or real(o))
+    tight = PropagatorConfig(base_step=1e-3, depth=2,
+                             max_rung_bytes=8 * dim * dim - 1)
+    with pytest.raises(CapacityError):
+        build_eigen_propagator(op, tight)
+    assert calls == []
+    exact = PropagatorConfig(base_step=1e-3, depth=2,
+                             max_rung_bytes=8 * dim * dim)
+    assert isinstance(build_eigen_propagator(op, exact), EigenPropagator)
+    assert len(calls) == 1
+
+
+def test_eigen_propagator_on_complex_hermitian_generator():
+    rng = np.random.default_rng(25)
+    op = random_hermitian_op(20, rng)
+    eig = diagonalize(op)
+    prop = build_eigen_propagator(op, PropagatorConfig(base_step=0.01,
+                                                       depth=6))
+    psi0 = random_unit(20, rng)
+    want = oracles.exact_evolve(eig.energies, eig.vectors, psi0, -0.37)
+    assert np.abs(prop.advance(psi0, -37) - want).max() < 1e-12

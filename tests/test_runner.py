@@ -8,9 +8,9 @@ import pytest
 
 from bosetherm import (ConfigError, EmptyWindowError, HamiltonianParams,
                        PropagatorConfig, SectorLadders, build_hamiltonian,
-                       build_ladder, build_sector_ladders, diagonalize,
-                       occupation_state, read_csv, resolve_times, run,
-                       single_particle_correlators, tau_grid, to_energy,
+                       build_ladder, build_sector_ladders, choose_base_step,
+                       diagonalize, occupation_state, read_csv, resolve_times,
+                       run, single_particle_correlators, tau_grid, to_energy,
                        validate_config, write_csv)
 from bosetherm.runner import STAGES
 
@@ -353,3 +353,36 @@ def test_greens_stage_with_fixed_step_matches_direct_ladders(tmp_path):
     cols = read_csv(outdir / "green_lesser_0_0_t0.csv")
     stored = cols["re"] + 1j * cols["im"]
     assert np.abs(stored - spec.values).max() < 1e-15
+
+
+def test_evolve_stage_picks_its_propagator_by_base_step(tmp_path,
+                                                        monkeypatch):
+    import bosetherm.runner as runner
+
+    built = []
+    for name in ("build_ladder", "build_eigen_propagator"):
+        real = getattr(runner, name)
+        monkeypatch.setattr(runner, name, lambda op, cfg, real=real,
+                            name=name: built.append(name) or real(op, cfg))
+
+    cfg = rabi_config(tmp_path / "auto")
+    cfg["stages"] = ["build-spectrum", "evolve"]
+    manifest = run(cfg)
+    assert built == ["build_eigen_propagator"]
+    assert np.load(tmp_path / "auto" / "eigenvectors.npy").dtype == \
+        np.float64
+    # the automatic step still sets the lattice the times snap to
+    op = build_hamiltonian(HamiltonianParams(2, 1, 0.0, 1.0, 0.0, 0.0))
+    lattice = choose_base_step(op, 6.0)
+    diag = manifest["stages"]["evolve"]["diagnostics"]
+    assert (diag["base_step"], diag["depth"]) == (lattice.base_step,
+                                                  lattice.depth)
+    cols = read_csv(tmp_path / "auto" / "occupations.csv")
+    assert np.abs(cols["n_1"] - np.sin(cols["Jt"]) ** 2).max() < 1e-12
+
+    built.clear()
+    cfg = rabi_config(tmp_path / "fixed")
+    cfg["propagation"] = {"base_step": 0.001}
+    manifest = run(cfg)
+    assert built == ["build_ladder"]
+    assert manifest["stages"]["evolve"]["diagnostics"]["base_step"] == 0.001

@@ -109,6 +109,15 @@ def test_window_weight_scale_is_cached_free_and_positive():
     assert scale_rect > scale_hann
 
 
+def test_window_weight_scale_fits_each_grid_once():
+    window_weight_scale.cache_clear()
+    first = window_weight_scale(6.0, 0.04, "hann")
+    assert window_weight_scale(6.0, 0.04, "hann") == first
+    assert window_weight_scale(6.0, 0.04, "rect") != first
+    info = window_weight_scale.cache_info()
+    assert (info.hits, info.misses) == (1, 2)
+
+
 def test_occupation_from_fdt_inversion():
     assert occupation_from_fdt(-3.0j, 1.0) == pytest.approx(1.0)
     assert occupation_from_fdt(-1.0j, 1.0) == pytest.approx(0.0)
