@@ -6,6 +6,13 @@ with k system particles only ever pairs with reservoir patterns holding
 N - k. Reduced density matrices are therefore block-diagonal in the system
 particle number (coherences between different totals vanish identically),
 and everything here works block by block.
+
+Each block pairs every system pattern with k particles with every reservoir
+pattern with N - k, so a state's amplitudes regroup by one fixed gather into
+one size x reservoir coefficient matrix C per block, and rho_k = C C^dagger.
+The entropy takes its Schmidt weights from the smaller side of each C (the
+Gram matrix C C^dagger or C^dagger C, which share their nonzero spectrum) and
+diagonalizes all blocks in one batched eigvalsh call.
 """
 
 from __future__ import annotations
@@ -65,29 +72,30 @@ class PartitionMap:
         self.reservoir_size = sum(b.reservoir_size for b in blocks)
 
         # system configuration table, enumeration order
-        rows = [enumerate_basis(len(sys_modes), b.particles).states
-                for b in blocks]
-        self.system_configs = np.vstack(rows)
+        sys_bases = [enumerate_basis(len(sys_modes), b.particles)
+                     for b in blocks]
+        self.system_configs = np.vstack([sb.states for sb in sys_bases])
 
-        # per full-space index: which block, and local (row, col) in that
-        # block's coefficient matrix
+        # full-space index of every coefficient entry, block by block in
+        # row-major order; each block is a complete size x reservoir
+        # product, so this is a permutation of the sector
         sys_occ = basis.states[:, sys_modes]
         res_occ = basis.states[:, self.reservoir_modes]
-        sys_totals = sys_occ.sum(axis=1)
-        self._block_of = (n - sys_totals).astype(np.int64)  # block list index
-        row = np.empty(basis.dim, dtype=np.int64)
-        col = np.empty(basis.dim, dtype=np.int64)
-        for bi, b in enumerate(blocks):
-            members = np.nonzero(sys_totals == b.particles)[0]
-            if members.size == 0:
-                continue
-            sys_basis = enumerate_basis(len(sys_modes), b.particles)
+        block_of = n - sys_occ.sum(axis=1)
+        starts = np.cumsum([0] + [b.size * b.reservoir_size
+                                  for b in blocks]).tolist()
+        position = np.empty(basis.dim, dtype=np.int64)
+        for bi, (b, sys_basis) in enumerate(zip(blocks, sys_bases)):
+            members = np.nonzero(block_of == bi)[0]
             res_basis = enumerate_basis(len(self.reservoir_modes),
                                         n - b.particles)
-            row[members] = sys_basis.index_array(sys_occ[members])
-            col[members] = res_basis.index_array(res_occ[members])
-        self._row = row
-        self._col = col
+            position[members] = (starts[bi]
+                                 + sys_basis.index_array(sys_occ[members])
+                                 * b.reservoir_size
+                                 + res_basis.index_array(res_occ[members]))
+        self._gather = np.empty(basis.dim, dtype=np.int64)
+        self._gather[position] = np.arange(basis.dim)
+        self._starts = starts
 
     @property
     def max_entropy(self) -> float:
@@ -101,10 +109,16 @@ def build_partition(basis: FockBasis, system_modes) -> PartitionMap:
 
 @dataclass
 class ReducedDensityMatrix:
-    """System-side density matrix over the partition's configurations."""
+    """System-side density matrix over the partition's configurations.
+
+    ``coefficients`` holds each block's size x reservoir coefficient matrix
+    when the matrix came from a pure state; it is None for a matrix given
+    directly.
+    """
 
     partition: PartitionMap
     matrix: np.ndarray
+    coefficients: list[np.ndarray] | None = None
 
     def block(self, index: int) -> np.ndarray:
         b = self.partition.blocks[index]
@@ -119,37 +133,49 @@ def reduced_density(state: StateVector, pm: PartitionMap) -> ReducedDensityMatri
     """Trace out the reservoir modes of a pure state."""
     if state.basis is not pm.basis:
         raise SectorMismatchError("state sector does not match the partition")
+    flat = state.amplitudes[pm._gather]
     rho = np.zeros((pm.system_size, pm.system_size), dtype=np.complex128)
-    for bi, b in enumerate(pm.blocks):
-        members = np.nonzero(pm._block_of == bi)[0]
-        if members.size == 0:
-            continue
-        coeff = np.zeros((b.size, b.reservoir_size), dtype=np.complex128)
-        coeff[pm._row[members], pm._col[members]] = state.amplitudes[members]
+    coeffs = []
+    for b, start in zip(pm.blocks, pm._starts):
+        coeff = flat[start:start + b.size * b.reservoir_size].reshape(
+            b.size, b.reservoir_size)
         sl = slice(b.offset, b.offset + b.size)
         rho[sl, sl] = coeff @ coeff.conj().T
-    return ReducedDensityMatrix(pm, rho)
+        coeffs.append(coeff)
+    return ReducedDensityMatrix(pm, rho, coeffs)
 
 
 def entanglement_entropy(rdm: ReducedDensityMatrix) -> float:
-    """Von Neumann entropy, block by block.
+    """Von Neumann entropy from every block's weights in one eigvalsh call.
 
-    The matrix is Hermitized first; eigenvalues below -1e-12 mean the input
-    was not a density matrix and raise, weights below 1e-14 are dropped.
+    With coefficients, each block's weights are the Schmidt values of its
+    smaller side: the rho block itself when the system side is smaller,
+    else C^dagger C. Without them, the Hermitized rho blocks are used. The
+    blocks are zero-padded into one stack; eigenvalues below -1e-12 mean the
+    input was not a density matrix and raise, weights below 1e-14 (the
+    padding among them) are dropped.
     """
-    s = 0.0
-    for bi in range(len(rdm.partition.blocks)):
+    grams = []
+    for bi, b in enumerate(rdm.partition.blocks):
         block = rdm.block(bi)
-        if block.size == 0:
-            continue
-        lam = np.linalg.eigvalsh((block + block.conj().T) / 2.0)
-        if lam.min() < -1e-12:
-            raise IntegrityError(
-                f"reduced density matrix has eigenvalue {lam.min():.3e}")
-        lam = lam[lam > 1e-14]
-        if lam.size:
-            s -= float((lam * np.log(lam)).sum())
-    return s
+        if rdm.coefficients is None:
+            grams.append((block + block.conj().T) / 2.0)
+        elif b.size <= b.reservoir_size:
+            grams.append(block)
+        else:
+            coeff = rdm.coefficients[bi]
+            grams.append(coeff.conj().T @ coeff)
+    rank = max(g.shape[0] for g in grams)
+    stack = np.zeros((len(grams), rank, rank), dtype=np.complex128)
+    for bi, g in enumerate(grams):
+        stack[bi, :g.shape[0], :g.shape[0]] = g
+    lam = np.linalg.eigvalsh(stack)
+    if lam.min() < -1e-12:
+        raise IntegrityError(
+            f"reduced density matrix has eigenvalue {lam.min():.3e}")
+    lam = lam[lam > 1e-14]
+    # subtracting from 0.0 keeps a zero entropy at +0.0, not -0.0
+    return 0.0 - float((lam * np.log(lam)).sum())
 
 
 def subsystem_expectation(rdm: ReducedDensityMatrix,

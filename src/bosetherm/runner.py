@@ -585,10 +585,10 @@ def _stage_evolve(cfg: dict, outdir: Path):
         weights = np.abs(amps) ** 2
         occupations[k] = weights @ basis.states
         norms[k] = np.linalg.norm(amps)
-        energies_t[k] = np.vdot(amps, op.matrix @ amps).real
+        state = StateVector(basis, amps)
+        energies_t[k] = op.expectation(state).real
         if pm is not None:
-            rdm = reduced_density(StateVector(basis, amps), pm)
-            entropies[k] = entanglement_entropy(rdm)
+            entropies[k] = entanglement_entropy(reduced_density(state, pm))
 
     if pm is not None:
         bound = np.full(times.size, pm.max_entropy)
@@ -743,6 +743,17 @@ def _load_spectrum_csv(outdir: Path, name: str, kind: str, pair,
                               tau_step=index["tau_step"])
 
 
+def _level_flags(center: float, width: float, energies: np.ndarray) -> list:
+    """Why a fitted level cannot be read as a level of the energy grid."""
+    lo, hi = float(energies[0]), float(energies[-1])
+    flags = []
+    if width > hi - lo:
+        flags.append("width exceeds the energy grid span")
+    if not lo <= center <= hi:
+        flags.append("center outside the energy grid")
+    return flags
+
+
 def _stage_thermometry(cfg: dict, outdir: Path):
     index = json.loads(
         _artifact(outdir, "greens_index.json", "greens").read_text())
@@ -779,12 +790,17 @@ def _stage_thermometry(cfg: dict, outdir: Path):
                 for p in range(peak_count):
                     occ = occupation_from_fdt(-1j * peaks_k.weights[p],
                                               peaks_a.weights[p])
-                    levels.append({"center": peaks_a.centers[p],
-                                   "width": peaks_a.widths[p],
-                                   "spectral_weight": peaks_a.weights[p],
-                                   "keldysh_weight": peaks_k.weights[p],
-                                   "occupation": occ})
-                    if peaks_a.centers[p] > 0.0:
+                    level = {"center": peaks_a.centers[p],
+                             "width": peaks_a.widths[p],
+                             "spectral_weight": peaks_a.weights[p],
+                             "keldysh_weight": peaks_k.weights[p],
+                             "occupation": occ}
+                    flags = _level_flags(peaks_a.centers[p],
+                                         peaks_a.widths[p], spec_a.energies)
+                    if flags:
+                        level["flags"] = flags
+                    levels.append(level)
+                    if peaks_a.centers[p] > 0.0 and not flags:
                         points_e.append(peaks_a.centers[p])
                         points_n.append(occ)
                 record["levels"] = levels
@@ -794,8 +810,8 @@ def _stage_thermometry(cfg: dict, outdir: Path):
                     record["bose"]["time"] = t
                     bose_temperatures.append(bose.temperature)
                 else:
-                    record["error"] = ("fewer than 2 positive-energy levels; "
-                                       "no temperature fit")
+                    record["error"] = ("fewer than 2 unflagged positive-energy "
+                                       "levels; no temperature fit")
             except NumericsError as exc:
                 record["error"] = f"{type(exc).__name__}: {exc}"
         report["bose"].append(record)

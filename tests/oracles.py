@@ -93,6 +93,39 @@ def brute_partial_trace(basis_states, system_modes, reservoir_modes,
     return rho
 
 
+def scatter_reduced_density(basis_states, system_modes, reservoir_modes,
+                            amplitudes) -> np.ndarray:
+    """Reduced density matrix by scattering into zeroed coefficient blocks.
+
+    The plain scatter that the gather in partition.reduced_density must
+    reproduce bit for bit: blocks run from N system particles down to 0,
+    each coefficient matrix C is filled entry by entry from (system tuple,
+    reservoir tuple) lookups, and the block is C C^dagger.
+    """
+    n = int(basis_states[0].sum())
+    grams = []
+    for k in range(n, -1, -1):
+        sys_index = {t: i for i, t in
+                     enumerate(fock_tuples(len(system_modes), k))}
+        res_index = {t: i for i, t in
+                     enumerate(fock_tuples(len(reservoir_modes), n - k))}
+        coeff = np.zeros((len(sys_index), len(res_index)),
+                         dtype=np.complex128)
+        for row, amp in zip(basis_states, amplitudes):
+            s = tuple(int(row[m]) for m in system_modes)
+            if sum(s) == k:
+                r = tuple(int(row[m]) for m in reservoir_modes)
+                coeff[sys_index[s], res_index[r]] = amp
+        grams.append(coeff @ coeff.conj().T)
+    size = sum(len(g) for g in grams)
+    rho = np.zeros((size, size), dtype=np.complex128)
+    offset = 0
+    for g in grams:
+        rho[offset:offset + len(g), offset:offset + len(g)] = g
+        offset += len(g)
+    return rho
+
+
 def number_matrix(num_modes: int, num_particles: int, mode: int) -> np.ndarray:
     """Dense occupation operator n_mode in one sector."""
     occ = [row[mode] for row in fock_tuples(num_modes, num_particles)]

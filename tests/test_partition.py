@@ -47,6 +47,52 @@ def test_reduced_density_matches_brute_force():
     assert np.abs(rho - ref).max() < 1e-12
 
 
+# (modes, particles, system modes): the system side smaller in every
+# block, larger in every block, non-contiguous, and mixed
+SCHMIDT_CASES = [(5, 4, (0,)), (5, 4, (0, 1, 2, 3)), (4, 4, (1, 3)),
+                 (5, 7, (2, 3, 4))]
+
+
+@pytest.mark.parametrize("modes, particles, system", SCHMIDT_CASES)
+def test_gather_is_a_permutation_of_the_sector(modes, particles, system):
+    basis = enumerate_basis(modes, particles)
+    pm = build_partition(basis, system)
+    assert pm._gather.dtype == np.int64
+    assert np.array_equal(np.sort(pm._gather), np.arange(basis.dim))
+
+
+@pytest.mark.parametrize("modes, particles, system", SCHMIDT_CASES)
+def test_entropy_matches_brute_force_spectrum(modes, particles, system):
+    basis = enumerate_basis(modes, particles)
+    pm = build_partition(basis, system)
+    config_index = {tuple(int(v) for v in row): k
+                    for k, row in enumerate(pm.system_configs)}
+    for seed in range(3):
+        psi = random_state(basis, 100 + seed)
+        ref = oracles.brute_partial_trace(basis.states, pm.system_modes,
+                                          pm.reservoir_modes, psi.amplitudes,
+                                          config_index)
+        lam = np.linalg.eigvalsh(ref)
+        lam = lam[lam > 1e-14]
+        want = -float((lam * np.log(lam)).sum())
+        got = entanglement_entropy(reduced_density(psi, pm))
+        assert abs(got - want) < 1e-12
+
+
+@pytest.mark.parametrize("modes, particles, system", SCHMIDT_CASES)
+def test_reduced_density_is_bit_equal_to_the_scatter(modes, particles,
+                                                     system):
+    basis = enumerate_basis(modes, particles)
+    pm = build_partition(basis, system)
+    psi = random_state(basis, 7)
+    rdm = reduced_density(psi, pm)
+    ref = oracles.scatter_reduced_density(basis.states, pm.system_modes,
+                                          pm.reservoir_modes, psi.amplitudes)
+    assert rdm.matrix.tobytes() == ref.tobytes()
+    assert [c.shape for c in rdm.coefficients] == [
+        (b.size, b.reservoir_size) for b in pm.blocks]
+
+
 def test_trace_is_one():
     basis = enumerate_basis(4, 5)
     pm = build_partition(basis, (0, 2))

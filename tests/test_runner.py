@@ -9,8 +9,9 @@ import pytest
 from bosetherm import (ConfigError, EmptyWindowError, HamiltonianParams,
                        PropagatorConfig, SectorLadders, build_hamiltonian,
                        build_ladder, build_sector_ladders, choose_base_step,
-                       diagonalize, occupation_state, read_csv, resolve_times,
-                       run, single_particle_correlators, tau_grid, to_energy,
+                       diagonalize, fit_bose_einstein, occupation_state,
+                       read_csv, resolve_times, run,
+                       single_particle_correlators, tau_grid, to_energy,
                        validate_config, write_csv)
 from bosetherm.runner import STAGES
 
@@ -386,3 +387,60 @@ def test_evolve_stage_picks_its_propagator_by_base_step(tmp_path,
     manifest = run(cfg)
     assert built == ["build_ladder"]
     assert manifest["stages"]["evolve"]["diagnostics"]["base_step"] == 0.001
+
+
+@pytest.mark.parametrize("levels, seeds, flagged", [
+    # (center, width, occupation) per level; one is wider than the grid
+    ([(5.0, 0.5, 1.0), (10.0, 0.5, 0.5), (15.0, 60.0, 0.3), (20.0, 0.5, 0.25)],
+     [5.0, 10.0, 15.0, 20.0], {2: ["width exceeds the energy grid span"]}),
+    # one is centred beyond the top of the grid
+    ([(5.0, 0.5, 1.0), (10.0, 0.5, 0.5), (20.0, 0.5, 0.25), (60.0, 3.0, 0.1)],
+     [5.0, 10.0, 20.0, 45.0], {3: ["center outside the energy grid"]}),
+])
+def test_thermometry_flags_levels_off_the_energy_grid(tmp_path, levels, seeds,
+                                                      flagged):
+    # a synthetic trace of Lorentzian levels with Bose-like occupations
+    outdir = tmp_path / "out"
+    outdir.mkdir()
+    energies = np.linspace(-5.0, 40.0, 181)
+
+    def lorentzian(center, width):
+        return width / np.pi / ((energies - center) ** 2 + width ** 2)
+
+    spectral = sum(lorentzian(e, g) for e, g, _ in levels)
+    keldysh = sum((2 * n + 1) * lorentzian(e, g) for e, g, n in levels)
+    zeros = np.zeros_like(energies)
+    write_csv(outdir / "trace_spectral_t0.csv", ["E_over_J", "re", "im"],
+              [energies, spectral, zeros])
+    # the stage fits i G_K, so G_K carries the positive peaks as -i
+    write_csv(outdir / "trace_keldysh_t0.csv", ["E_over_J", "re", "im"],
+              [energies, zeros, -keldysh])
+    grid = {"start": -5.0, "stop": 40.0, "count": 181}
+    (outdir / "greens_index.json").write_text(json.dumps({
+        "window": "hann", "tau_max": 8.0, "tau_step": 0.1,
+        "energy_grid": grid, "green_pairs": [[m, m] for m in range(4)],
+        "density_pairs": [],
+        "entries": [{"time_index": 0, "com_time": 0.0, "green_files": {},
+                     "density_files": {},
+                     "trace_files": {"spectral": "trace_spectral_t0.csv",
+                                     "keldysh": "trace_keldysh_t0.csv"}}]}))
+    cfg = {"model": {"num_modes": 4, "num_particles": 2},
+           "measurement": {"energy_grid": grid, "density_pairs": []},
+           "fits": {"peak_count": 4, "seed_centers": seeds},
+           "output_dir": str(outdir)}
+    run(cfg, stages=["thermometry"])
+
+    record = json.loads((outdir / "thermometry.json").read_text())["bose"][0]
+    fitted = record["levels"]
+    assert [lv.get("flags") for lv in fitted] == [
+        flagged.get(p) for p in range(len(levels))]
+    for lv, (center, width, occ) in zip(fitted, levels):
+        assert lv["center"] == pytest.approx(center, abs=1e-6)
+        assert lv["width"] == pytest.approx(width, rel=1e-6)
+        assert lv["occupation"] == pytest.approx(occ, abs=1e-6)
+    # the Bose-Einstein fit reads only the unflagged levels
+    kept = [lv for lv in fitted if "flags" not in lv]
+    want = fit_bose_einstein([lv["center"] for lv in kept],
+                             [lv["occupation"] for lv in kept])
+    assert record["bose"]["points"] == 3
+    assert record["bose"]["temperature"] == want.temperature
