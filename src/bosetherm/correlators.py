@@ -34,9 +34,8 @@ from .errors import AliasingError, GridMismatchError, SectorMismatchError
 from .fock import FockBasis, StateVector
 from .hamiltonian import build_hamiltonian
 from .propagator import (
-    EigenPropagator,
+    Propagator,
     PropagatorConfig,
-    PropagatorLadder,
     _depth_for_horizon,
     advance_columns,
     build_eigen_propagator,
@@ -136,9 +135,9 @@ class SectorLadders:
     common lattice. Each is a PropagatorLadder or an EigenPropagator.
     """
 
-    center: PropagatorLadder | EigenPropagator
-    lower: PropagatorLadder | EigenPropagator | None = None
-    upper: PropagatorLadder | EigenPropagator | None = None
+    center: Propagator
+    lower: Propagator | None = None
+    upper: Propagator | None = None
 
     def __post_init__(self):
         n = self.center.basis.num_particles
@@ -195,8 +194,7 @@ def build_sector_ladders(params, horizon: float, tau_step: float | None = None,
         upper=ladders.get(params.num_particles + 1))
 
 
-def _grid_steps(ladder: PropagatorLadder | EigenPropagator,
-                tau: np.ndarray) -> tuple[int, int]:
+def _grid_steps(ladder: Propagator, tau: np.ndarray) -> tuple[int, int]:
     """(half-count K, base steps per half tau step)."""
     step = _validate_tau(np.asarray(tau, dtype=float))
     half = step / 2.0
@@ -208,9 +206,8 @@ def _grid_steps(ladder: PropagatorLadder | EigenPropagator,
     return (len(tau) - 1) // 2, q2
 
 
-def _trajectory_states(ladder: PropagatorLadder | EigenPropagator,
-                       psi0: StateVector, com_steps: int, q2: int,
-                       count: int) -> np.ndarray:
+def _trajectory_states(ladder: Propagator, psi0: StateVector,
+                       com_steps: int, q2: int, count: int) -> np.ndarray:
     """Rows psi(t + m * dtau/2) for m = -count..count."""
     states = np.empty((2 * count + 1, ladder.basis.dim), dtype=np.complex128)
     half_step = ladder.advance(np.eye(ladder.basis.dim), q2)
@@ -247,13 +244,7 @@ def _chunks(k_half: int, per_k: int, dim: int):
 
 
 def _check_modes(basis: FockBasis, pairs) -> list[tuple[int, int]]:
-    clean = []
-    for p in pairs:
-        i, j = int(p[0]), int(p[1])
-        if not (0 <= i < basis.num_modes and 0 <= j < basis.num_modes):
-            raise ValueError(f"pair {p} outside 0..{basis.num_modes - 1}")
-        clean.append((i, j))
-    return clean
+    return [(basis._check_mode(i), basis._check_mode(j)) for i, j in pairs]
 
 
 def single_particle_correlator_set(psi0: StateVector, ladders: SectorLadders,

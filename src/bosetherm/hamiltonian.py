@@ -53,9 +53,13 @@ class HamiltonianParams:
                 raise ValueError(f"{name} must be finite, got {v}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class SectorOperator:
-    """Dense operator on one Fock sector."""
+    """Dense Hermitian operator on one Fock sector.
+
+    The Hermiticity check runs here, once per operator, so the ladder and
+    the eigensolver need not repeat it.
+    """
 
     basis: FockBasis
     matrix: np.ndarray
@@ -64,7 +68,13 @@ class SectorOperator:
         m = np.asarray(self.matrix, dtype=np.complex128)
         if m.shape != (self.basis.dim, self.basis.dim):
             raise ValueError("matrix shape does not match sector dimension")
-        self.matrix = m
+        defect = float(np.abs(m - m.conj().T).max())
+        scale = float(np.abs(m).max())
+        if defect > 1e-12 * scale:
+            raise IntegrityError(
+                f"matrix is not Hermitian: defect {defect:.3e} "
+                f"vs scale {scale:.3e}")
+        object.__setattr__(self, "matrix", m)
 
     def apply(self, state: StateVector) -> StateVector:
         if state.basis is not self.basis:
@@ -123,12 +133,6 @@ def build_hamiltonian(params: HamiltonianParams,
     h = np.zeros((basis.dim, basis.dim), dtype=np.complex128)
     for src, dst, amp in _term_maps(params, basis):
         h[dst, src] += amp
-    defect = float(np.abs(h - h.conj().T).max())
-    scale = float(np.abs(h).max())
-    if scale > 0 and defect > 1e-12 * scale:
-        raise IntegrityError(
-            f"assembled matrix is not Hermitian: defect {defect:.3e} "
-            f"vs scale {scale:.3e}")
     return SectorOperator(basis, h)
 
 
@@ -158,18 +162,12 @@ class EigenSystem:
 
 
 def diagonalize(op: SectorOperator) -> EigenSystem:
-    """Full dense diagonalization; rejects non-Hermitian input.
+    """Full dense diagonalization of a (checked Hermitian) operator.
 
     A real symmetric matrix (every model sector) gets float64 vectors, a
     complex Hermitian one complex128 vectors.
     """
     h = op.matrix
-    scale = float(np.abs(h).max()) or 1.0
-    defect = float(np.abs(h - h.conj().T).max())
-    if defect > 1e-12 * scale:
-        raise IntegrityError(
-            f"refusing to diagonalize: Hermiticity defect {defect:.3e} "
-            f"vs scale {scale:.3e}")
     try:
         if np.abs(h.imag).max() <= 1e-300:
             # real symmetric path is four times cheaper, and its vectors
@@ -180,7 +178,7 @@ def diagonalize(op: SectorOperator) -> EigenSystem:
     except la.LinAlgError as exc:
         raise NumericsError(
             f"eigensolver failed on dim={h.shape[0]} matrix "
-            f"(max element {scale:.3e}): {exc}") from exc
+            f"(max element {op.max_element():.3e}): {exc}") from exc
     return EigenSystem(op.basis, energies, vectors)
 
 

@@ -3,30 +3,31 @@
 PropagatorConfig fixes the lattice: times m * dt for |m| up to the span of
 a ladder of the given depth. choose_base_step picks dt from the Taylor
 error model below and the smallest depth whose span reaches the horizon.
-Both propagators below share that lattice, snap() and the span check, so
-snapped times do not depend on which one runs.
+Both propagators subclass Propagator, which owns that lattice, snap() and
+the one span check, so snapped times and span errors do not depend on which
+one runs. advance moves one vector (or one block sharing a step count);
+advance_columns checks a block whose columns each have their own count
+against the span and hands it to the propagator's own column walk.
 
 PropagatorLadder (the paper's method). The base propagator
 U0 = sum_{k<=k_max} (-i dt)^k H^k / k! is accurate for dt * max|H_ij| <= 0.1
 (enforced). A ladder of rungs U_r = (U_{r-1})^n then spans n^r * dt each, so
 any lattice time m * dt is reached with O(log m) rung applies via the base-n
-digits of m. PropagatorLadder.advance walks one vector (or one block sharing
-a step count) by matrix-vector products; advance_columns walks a block whose
-columns each have their own count, and applies every rung once to all the
-columns whose digit needs it, so many short walks share matrix-matrix
-products. Negative times use the adjoint rungs, which is exact for unitaries
-up to the Taylor truncation. Truncation errors add up over the effective
-number of base steps, so the base step must shrink with the horizon:
-choose_base_step picks dt from
+digits of m. advance walks by matrix-vector products; the column walk
+applies every rung once to all the columns whose digit needs it, so many
+short walks share matrix-matrix products. Negative times use the adjoint
+rungs, which is exact for unitaries up to the Taylor truncation. Truncation
+errors add up over the effective number of base steps, so the base step
+must shrink with the horizon: choose_base_step picks dt from
 horizon * rho^(k+1) * dt^k / (k+1)! <= target (rho estimated by power
 iteration) intersected with the max-element rule above. Memory is depth + 1
 dense complex rungs.
 
 EigenPropagator (exact). One diagonalization H = V E V^T gives
 U0^m = V exp(-i E m dt) V^T for any m, with no truncation, from one real
-dim x dim matrix when H is real symmetric (the model's is). advance and
-advance_columns move a block into the eigenbasis, multiply each column by
-its own phases and move it back, all columns at once.
+dim x dim matrix when H is real symmetric (the model's is). Its column walk
+moves a block into the eigenbasis, multiplies each column by its own phases
+and moves it back, all columns at once.
 """
 
 from __future__ import annotations
@@ -112,11 +113,6 @@ def _check_step_rule(op: SectorOperator, config: PropagatorConfig) -> None:
 def base_step(op: SectorOperator, config: PropagatorConfig) -> np.ndarray:
     """Truncated Taylor propagator over one base step."""
     h = op.matrix
-    defect = float(np.abs(h - h.conj().T).max())
-    scale = float(np.abs(h).max()) or 1.0
-    if defect > 1e-12 * scale:
-        raise StepTooLargeError(
-            f"propagator needs a Hermitian generator; defect {defect:.3e}")
     _check_step_rule(op, config)
     scaled = (-1j * config.base_step) * h
     u = np.eye(h.shape[0], dtype=np.complex128)
@@ -127,13 +123,16 @@ def base_step(op: SectorOperator, config: PropagatorConfig) -> np.ndarray:
     return u
 
 
-class PropagatorLadder:
-    """Rungs U0^(n^k) for k = 0..depth over one sector."""
+class Propagator:
+    """U0^m on the lattice of a config, for one sector.
 
-    def __init__(self, basis, config: PropagatorConfig, rungs: list[np.ndarray]):
+    Subclasses supply _walk_columns, which advance_columns and advance call
+    once the step counts passed _check_span.
+    """
+
+    def __init__(self, basis, config: PropagatorConfig):
         self.basis = basis
         self.config = config
-        self.rungs = rungs
 
     @property
     def base_step(self) -> float:
@@ -146,6 +145,12 @@ class PropagatorLadder:
     @property
     def span(self) -> float:
         return self.config.span
+
+    def _check_span(self, steps: int) -> None:
+        if steps > self.max_steps:
+            raise UnreachableTimeError(
+                f"{steps} base steps exceed the span of {self.max_steps} "
+                f"(time {self.span:.6e})")
 
     def snap(self, t: float, strict: bool = False) -> tuple[int, float]:
         """Nearest lattice index and time for a requested time.
@@ -160,21 +165,29 @@ class PropagatorLadder:
             raise UnreachableTimeError(
                 f"time {t} is off the lattice (step {dt:.6e}); nearest "
                 f"reachable times are {below:.12e} and {above:.12e}")
-        if abs(m) > self.max_steps:
-            raise UnreachableTimeError(
-                f"time {actual:.6e} needs {abs(m)} base steps; ladder spans "
-                f"{self.max_steps} (time {self.span:.6e})")
+        self._check_span(abs(m))
         return m, actual
 
     def advance(self, amplitudes: np.ndarray, steps: int) -> np.ndarray:
-        """Apply U0^steps to a vector or the columns of a matrix.
+        """Apply U0^steps to a vector or the columns of a matrix."""
+        self._check_span(abs(steps))
+        amps = np.asarray(amplitudes)
+        block = amps.reshape(amps.shape[0], -1)
+        out = self._walk_columns(block, np.full(block.shape[1], int(steps)))
+        return out.reshape(amps.shape)
 
-        Negative steps apply the adjoint rungs (backward evolution).
-        """
-        if abs(steps) > self.max_steps:
-            raise UnreachableTimeError(
-                f"{abs(steps)} base steps exceed the ladder span "
-                f"{self.max_steps}")
+
+class PropagatorLadder(Propagator):
+    """Rungs U0^(n^k) for k = 0..depth over one sector."""
+
+    def __init__(self, basis, config: PropagatorConfig, rungs: list[np.ndarray]):
+        super().__init__(basis, config)
+        self.rungs = rungs
+
+    def advance(self, amplitudes: np.ndarray, steps: int) -> np.ndarray:
+        """Apply U0^steps by matrix-vector products, without the column
+        walk's fancy-index copies; negative steps apply the adjoint rungs."""
+        self._check_span(abs(steps))
         out = np.array(amplitudes, dtype=np.complex128, copy=True)
         forward = steps >= 0
         m = abs(int(steps))
@@ -190,10 +203,31 @@ class PropagatorLadder:
                     out = (out.conj().T @ self.rungs[k]).conj().T
         return out
 
-    def unitarity_defect(self, rung: int) -> float:
-        """max|U^dag U - 1| for one rung; costs a full matmul."""
-        u = self.rungs[rung]
-        return float(np.abs(u.conj().T @ u - np.eye(u.shape[0])).max())
+    def _walk_columns(self, block: np.ndarray,
+                      steps: np.ndarray) -> np.ndarray:
+        """Each column gets the rung products of advance, in the same order.
+
+        Rungs are walked from the top down, and at each rung the columns
+        whose base-n digit there is nonzero share one matrix-matrix product
+        per repeat of the digit.
+        """
+        out = np.array(block, dtype=np.complex128, copy=True)
+        forward = steps >= 0
+        remaining = np.abs(steps)
+        n = self.config.branching
+        for k in range(self.config.depth, -1, -1):
+            digits, remaining = np.divmod(remaining, n ** k)
+            rung = self.rungs[k]
+            for repeat in range(1, n):
+                due = digits >= repeat
+                fwd = np.flatnonzero(due & forward)
+                if fwd.size:
+                    out[:, fwd] = rung @ out[:, fwd]
+                bwd = np.flatnonzero(due & ~forward)
+                if bwd.size:
+                    # (U^dag X) = (X^dag U)^dag, without a copy of the rung
+                    out[:, bwd] = (out[:, bwd].conj().T @ rung).conj().T
+        return out
 
 
 def build_ladder(op: SectorOperator, config: PropagatorConfig) -> PropagatorLadder:
@@ -220,42 +254,22 @@ def _times(matrix: np.ndarray, block: np.ndarray) -> np.ndarray:
     return (matrix @ block.view(np.float64)).view(np.complex128)
 
 
-class EigenPropagator:
+class EigenPropagator(Propagator):
     """Exact U0^m = V exp(-i E m dt) V^dag on the lattice of a config.
 
-    It has the ladder's interface and span check, so callers need not know
-    which of the two they hold; config.depth only sets the span, since no
-    rungs are built.
+    config.depth only sets the span, since no rungs are built.
     """
-
-    # the lattice, its span and the snapping rule are the ladder's
-    base_step = PropagatorLadder.base_step
-    max_steps = PropagatorLadder.max_steps
-    span = PropagatorLadder.span
-    snap = PropagatorLadder.snap
 
     def __init__(self, basis, config: PropagatorConfig, energies: np.ndarray,
                  vectors: np.ndarray):
-        self.basis = basis
-        self.config = config
+        super().__init__(basis, config)
         self.energies = energies
         self.vectors = vectors
         self._adjoint = (vectors.conj().T if np.iscomplexobj(vectors)
                          else vectors.T)
 
-    def advance(self, amplitudes: np.ndarray, steps: int) -> np.ndarray:
-        """Apply U0^steps to a vector or the columns of a matrix."""
-        if abs(steps) > self.max_steps:
-            raise UnreachableTimeError(
-                f"{abs(steps)} base steps exceed the ladder span "
-                f"{self.max_steps}")
-        amps = np.asarray(amplitudes)
-        block = amps.reshape(amps.shape[0], -1)
-        out = self._phase_columns(block, np.full(block.shape[1], int(steps)))
-        return out.reshape(amps.shape)
-
-    def _phase_columns(self, block: np.ndarray,
-                       steps: np.ndarray) -> np.ndarray:
+    def _walk_columns(self, block: np.ndarray,
+                      steps: np.ndarray) -> np.ndarray:
         """Column c times exp(-i E steps[c] dt) in the eigenbasis."""
         coeff = _times(self._adjoint, block)
         coeff *= np.exp(-1j * np.outer(self.energies, steps * self.base_step))
@@ -275,49 +289,26 @@ def build_eigen_propagator(op: SectorOperator,
     return EigenPropagator(op.basis, config, eig.energies, eig.vectors)
 
 
-def advance_columns(ladder: PropagatorLadder | EigenPropagator,
-                    block: np.ndarray, steps) -> np.ndarray:
+def advance_columns(ladder: Propagator, block: np.ndarray,
+                    steps) -> np.ndarray:
     """Apply U0^steps[c] to column c of a (dim, columns) block.
 
-    On a ladder each column gets the same rung products, in the same order,
-    as ladder.advance(block[:, c], steps[c]); negative counts apply the
-    adjoint rungs. Rungs are walked from the top down, and at each rung the
-    columns whose base-n digit there is nonzero share one matrix-matrix
-    product per repeat of the digit. An eigen propagator moves the whole
-    block into the eigenbasis and back, with each column's own phases.
+    Column c comes out as ladder.advance(block[:, c], steps[c]) would give
+    it; negative counts evolve backward.
     """
-    out = np.array(block, dtype=np.complex128, copy=True)
+    block = np.asarray(block)
     steps = np.asarray(steps, dtype=np.int64)
-    if out.ndim != 2 or steps.shape != (out.shape[1],):
+    if block.ndim != 2 or steps.shape != (block.shape[1],):
         raise ValueError(
             f"need one step count per column of a 2-D block; got "
-            f"{steps.shape} counts for a block of shape {out.shape}")
-    remaining = np.abs(steps)
-    if remaining.size and int(remaining.max()) > ladder.max_steps:
-        raise UnreachableTimeError(
-            f"{int(remaining.max())} base steps exceed the ladder span "
-            f"{ladder.max_steps}")
-    if isinstance(ladder, EigenPropagator):
-        return ladder._phase_columns(out, steps)
-    forward = steps >= 0
-    n = ladder.config.branching
-    for k in range(ladder.config.depth, -1, -1):
-        digits, remaining = np.divmod(remaining, n ** k)
-        rung = ladder.rungs[k]
-        for repeat in range(1, n):
-            due = digits >= repeat
-            fwd = np.flatnonzero(due & forward)
-            if fwd.size:
-                out[:, fwd] = rung @ out[:, fwd]
-            bwd = np.flatnonzero(due & ~forward)
-            if bwd.size:
-                # (U^dag X) = (X^dag U)^dag, without a copy of the rung
-                out[:, bwd] = (out[:, bwd].conj().T @ rung).conj().T
-    return out
+            f"{steps.shape} counts for a block of shape {block.shape}")
+    if steps.size:
+        ladder._check_span(int(np.abs(steps).max()))
+    return ladder._walk_columns(block, steps)
 
 
-def evolve_to(ladder: PropagatorLadder | EigenPropagator, state: StateVector,
-              t: float, snap: bool = True) -> StateVector:
+def evolve_to(ladder: Propagator, state: StateVector, t: float,
+              snap: bool = True) -> StateVector:
     """Propagate a state to (the lattice time nearest) t."""
     if state.basis is not ladder.basis:
         raise SectorMismatchError(

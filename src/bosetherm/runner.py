@@ -26,11 +26,13 @@ indices are zero-based everywhere, matching the library API.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import math
 import platform
 import time
+import warnings
 from dataclasses import asdict
 from pathlib import Path
 
@@ -605,9 +607,6 @@ def _stage_evolve(cfg: dict, outdir: Path):
         write_csv(outdir / "occupations.csv", names, columns)
         outputs.append("occupations.csv")
 
-    # echo the grid that actually ran; stepping resolution stays in the
-    # stage diagnostics so later stages still see the configured intent
-    cfg["measurement"]["times"] = {"list": [float(v) for v in snapped]}
     e_scale = max(1.0, abs(energies_t[0]))
     diag = {
         "dimension": basis.dim,
@@ -723,7 +722,6 @@ def _stage_greens(cfg: dict, outdir: Path):
     _write_json(outdir / "greens_index.json", index)
     outputs.append("greens_index.json")
 
-    cfg["measurement"]["com_times"] = [e["com_time"] for e in entries]
     diag = {"base_step": ladders.center.base_step,
             "depth": ladders.center.config.depth,
             "com_times": [e["com_time"] for e in entries]}
@@ -749,9 +747,73 @@ def _level_flags(center: float, width: float, energies: np.ndarray) -> list:
     flags = []
     if width > hi - lo:
         flags.append("width exceeds the energy grid span")
+    if width < float(energies[1] - energies[0]):
+        flags.append("width below the energy grid spacing")
     if not lo <= center <= hi:
         flags.append("center outside the energy grid")
     return flags
+
+
+@contextlib.contextmanager
+def _recorded_warnings(record: dict):
+    """List the distinct warnings raised inside under record["warnings"],
+    then raise each again under the caller's filters.
+
+    Recording with "always" sees a warning on every run, not only on the
+    first in a process, so reruns write the same list.
+    """
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        yield
+    record["warnings"] = []
+    # one registry per source file, as warnings.warn keeps one per module,
+    # so a "default" filter shows a repeated warning once
+    registries: dict = {}
+    for w in caught:
+        pair = {"category": w.category.__name__, "message": str(w.message)}
+        if pair not in record["warnings"]:
+            record["warnings"].append(pair)
+        warnings.warn_explicit(w.message, w.category, w.filename, w.lineno,
+                               registry=registries.setdefault(w.filename, {}))
+
+
+def _fit_trace_levels(record: dict, spec_a: CorrelatorSpectrum,
+                      spec_k: CorrelatorSpectrum, peak_count: int,
+                      seeds) -> None:
+    """Levels of the traced A and i G_K and their Bose-Einstein fit, or the
+    reason there is none, into record."""
+    t = record["com_time"]
+    try:
+        peaks_a = fit_lorentzians(spec_a, peak_count, seed_centers=seeds)
+        peaks_k = fit_lorentzians(spec_k, peak_count,
+                                  seed_centers=peaks_a.centers)
+        levels = []
+        points_e, points_n = [], []
+        for p in range(peak_count):
+            occ = occupation_from_fdt(-1j * peaks_k.weights[p],
+                                      peaks_a.weights[p])
+            level = {"center": peaks_a.centers[p],
+                     "width": peaks_a.widths[p],
+                     "spectral_weight": peaks_a.weights[p],
+                     "keldysh_weight": peaks_k.weights[p],
+                     "occupation": occ}
+            flags = _level_flags(peaks_a.centers[p], peaks_a.widths[p],
+                                 spec_a.energies)
+            if flags:
+                level["flags"] = flags
+            levels.append(level)
+            if peaks_a.centers[p] > 0.0 and not flags:
+                points_e.append(peaks_a.centers[p])
+                points_n.append(occ)
+        record["levels"] = levels
+        if len(points_e) >= 2:
+            record["bose"] = asdict(fit_bose_einstein(points_e, points_n))
+            record["bose"]["time"] = t
+        else:
+            record["error"] = ("fewer than 2 unflagged positive-energy "
+                               "levels; no temperature fit")
+    except NumericsError as exc:
+        record["error"] = f"{type(exc).__name__}: {exc}"
 
 
 def _stage_thermometry(cfg: dict, outdir: Path):
@@ -769,6 +831,7 @@ def _stage_thermometry(cfg: dict, outdir: Path):
 
     report: dict = {"bose": [], "fdt": {}}
     bose_temperatures = []
+    flagged_levels = 0
     for entry in index["entries"]:
         t = entry["com_time"]
         record: dict = {"time_index": entry["time_index"], "com_time": t}
@@ -780,40 +843,12 @@ def _stage_thermometry(cfg: dict, outdir: Path):
                                         "keldysh", None, t, index)
             # fit i G_K, whose thermal trace is a sum of positive peaks
             spec_k.values = 1j * spec_k.values
-            try:
-                peaks_a = fit_lorentzians(spec_a, peak_count,
-                                          seed_centers=seeds)
-                peaks_k = fit_lorentzians(spec_k, peak_count,
-                                          seed_centers=peaks_a.centers)
-                levels = []
-                points_e, points_n = [], []
-                for p in range(peak_count):
-                    occ = occupation_from_fdt(-1j * peaks_k.weights[p],
-                                              peaks_a.weights[p])
-                    level = {"center": peaks_a.centers[p],
-                             "width": peaks_a.widths[p],
-                             "spectral_weight": peaks_a.weights[p],
-                             "keldysh_weight": peaks_k.weights[p],
-                             "occupation": occ}
-                    flags = _level_flags(peaks_a.centers[p],
-                                         peaks_a.widths[p], spec_a.energies)
-                    if flags:
-                        level["flags"] = flags
-                    levels.append(level)
-                    if peaks_a.centers[p] > 0.0 and not flags:
-                        points_e.append(peaks_a.centers[p])
-                        points_n.append(occ)
-                record["levels"] = levels
-                if len(points_e) >= 2:
-                    bose = fit_bose_einstein(points_e, points_n)
-                    record["bose"] = asdict(bose)
-                    record["bose"]["time"] = t
-                    bose_temperatures.append(bose.temperature)
-                else:
-                    record["error"] = ("fewer than 2 unflagged positive-energy "
-                                       "levels; no temperature fit")
-            except NumericsError as exc:
-                record["error"] = f"{type(exc).__name__}: {exc}"
+            with _recorded_warnings(record):
+                _fit_trace_levels(record, spec_a, spec_k, peak_count, seeds)
+            if "bose" in record:
+                bose_temperatures.append(record["bose"]["temperature"])
+            flagged_levels += sum("flags" in level
+                                  for level in record.get("levels", []))
         report["bose"].append(record)
 
     fdt_temperatures = {}
@@ -838,7 +873,8 @@ def _stage_thermometry(cfg: dict, outdir: Path):
 
     _write_json(outdir / "thermometry.json", report)
     diag = {"bose_temperatures": bose_temperatures,
-            "fdt_temperatures": fdt_temperatures}
+            "fdt_temperatures": fdt_temperatures,
+            "flagged_levels": flagged_levels}
     return ["thermometry.json"], diag
 
 
@@ -868,6 +904,15 @@ def _relaxation_entry(times: np.ndarray, values: np.ndarray,
                      amplitude_slow=fit.amplitude_slow,
                      tau_fast=fit.tau_fast, tau_slow=fit.tau_slow,
                      residual=fit.residual, detail=fit.detail)
+        # a time scale the samples cannot resolve is a fit artefact
+        flags = []
+        spacing = np.diff(np.unique(times))
+        if spacing.size and fit.tau_fast < spacing.min():
+            flags.append("tau_fast below the sample step")
+        if fit.tau_slow > float(times[-1] - times[0]):
+            flags.append("tau_slow exceeds the sampled span")
+        if flags:
+            entry["flags"] = flags
     except NumericsError as exc:
         entry["error"] = f"{type(exc).__name__}: {exc}"
     return entry

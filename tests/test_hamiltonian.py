@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -115,10 +117,22 @@ def test_diagonalize_keeps_real_vectors_real():
 
 def test_diagonalize_rejects_non_hermitian():
     basis = enumerate_basis(2, 1)
-    bad = SectorOperator(basis, np.array([[0.0, 1.0], [0.0, 0.0]],
-                                         dtype=np.complex128))
     with pytest.raises(IntegrityError):
-        diagonalize(bad)
+        diagonalize(SectorOperator(basis, np.array([[0.0, 1.0], [0.0, 0.0]],
+                                                   dtype=np.complex128)))
+
+
+def test_sector_operator_checks_hermiticity_once_and_stays_frozen():
+    op = build_hamiltonian(params_for(3, 2))
+    scale = op.max_element()
+    skew = np.zeros_like(op.matrix)
+    skew[0, 1] = 1.0
+    # the relative rule: a defect of 1e-13 of the largest element passes
+    SectorOperator(op.basis, op.matrix + 1e-13 * scale * skew)
+    with pytest.raises(IntegrityError, match="not Hermitian"):
+        SectorOperator(op.basis, op.matrix + 1e-11 * scale * skew)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        op.matrix = op.matrix + 1e-3 * skew
 
 
 def test_gap_ratio_poisson_reference():

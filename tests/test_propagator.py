@@ -6,6 +6,7 @@ import oracles
 from bosetherm import StateVector, enumerate_basis
 from bosetherm.errors import (
     CapacityError,
+    IntegrityError,
     SectorMismatchError,
     StepTooLargeError,
     UnreachableTimeError,
@@ -67,9 +68,10 @@ def test_step_rule_enforced():
 
 
 def test_non_hermitian_generator_rejected():
+    # rejected when the operator is made, before any propagator sees it
     basis = enumerate_basis(2, 11)
     m = np.triu(np.ones((12, 12)))
-    with pytest.raises(StepTooLargeError):
+    with pytest.raises(IntegrityError):
         base_step(SectorOperator(basis, m),
                   PropagatorConfig(base_step=1e-3, depth=0))
 
@@ -203,6 +205,22 @@ def test_times_beyond_span_rejected():
     ladder = build_ladder(op, PropagatorConfig(base_step=0.01, depth=3))
     with pytest.raises(UnreachableTimeError):
         ladder.advance(np.ones(10, dtype=complex), ladder.max_steps + 1)
+
+
+def test_both_propagators_raise_one_span_error():
+    op = model_op(3, 2)
+    cfg = PropagatorConfig(base_step=0.002, depth=3)
+    block = np.ones((op.basis.dim, 2), dtype=complex)
+    messages = set()
+    for prop in (build_ladder(op, cfg), build_eigen_propagator(op, cfg)):
+        for beyond in (cfg.max_steps + 1, -(cfg.max_steps + 1)):
+            with pytest.raises(UnreachableTimeError) as by_advance:
+                prop.advance(block[:, 0], beyond)
+            with pytest.raises(UnreachableTimeError) as by_columns:
+                advance_columns(prop, block, [1, beyond])
+            messages |= {str(by_advance.value), str(by_columns.value)}
+    assert messages == {f"{cfg.max_steps + 1} base steps exceed the span of "
+                        f"{cfg.max_steps} (time {cfg.span:.6e})"}
 
 
 def test_memory_cap():

@@ -167,10 +167,19 @@ def test_manifest_inventory_and_versions(tmp_path):
     for stage in manifest["stages"].values():
         assert stage["status"] == "ok"
         assert stage["seconds"] >= 0.0
-    # the echoed grid holds the snapped times that actually ran
-    echoed = manifest["config"]["measurement"]["times"]["list"]
+    # the manifest echoes the configured grid; the times that ran are the
+    # snapped lattice times in the Jt column and the greens diagnostics
+    configured = validate_config(small_quench_config(outdir))["measurement"]
+    assert manifest["config"]["measurement"] == configured
+    evolve = manifest["stages"]["evolve"]["diagnostics"]
+    dt = evolve["base_step"]
     cols = read_csv(outdir / "entropy.csv")
-    assert np.allclose(echoed, cols["Jt"], atol=1e-15)
+    assert cols["Jt"].tolist() == [
+        round(t / dt) * dt for t in resolve_times(configured["times"])]
+    greens = manifest["stages"]["greens"]["diagnostics"]
+    assert greens["com_times"] == [
+        round(t / greens["base_step"]) * greens["base_step"]
+        for t in configured["com_times"]]
 
 
 def test_missing_artifacts_name_their_stage(tmp_path):
@@ -396,12 +405,52 @@ def test_evolve_stage_picks_its_propagator_by_base_step(tmp_path,
     # one is centred beyond the top of the grid
     ([(5.0, 0.5, 1.0), (10.0, 0.5, 0.5), (20.0, 0.5, 0.25), (60.0, 3.0, 0.1)],
      [5.0, 10.0, 20.0, 45.0], {3: ["center outside the energy grid"]}),
+    # one is narrower than the grid spacing of 0.25
+    ([(5.0, 0.5, 1.0), (10.0, 0.15, 0.5), (15.0, 0.5, 0.3), (20.0, 0.5, 0.25)],
+     [5.0, 10.0, 15.0, 20.0], {1: ["width below the energy grid spacing"]}),
 ])
 def test_thermometry_flags_levels_off_the_energy_grid(tmp_path, levels, seeds,
                                                       flagged):
-    # a synthetic trace of Lorentzian levels with Bose-like occupations
-    outdir = tmp_path / "out"
-    outdir.mkdir()
+    manifest, record = run_synthetic_thermometry(tmp_path / "out", levels,
+                                                 seeds)
+    assert manifest["stages"]["thermometry"]["diagnostics"][
+        "flagged_levels"] == len(flagged)
+    assert record["warnings"] == []
+    fitted = record["levels"]
+    assert [lv.get("flags") for lv in fitted] == [
+        flagged.get(p) for p in range(len(levels))]
+    for lv, (center, width, occ) in zip(fitted, levels):
+        assert lv["center"] == pytest.approx(center, abs=1e-6)
+        assert lv["width"] == pytest.approx(width, rel=1e-6)
+        assert lv["occupation"] == pytest.approx(occ, abs=1e-6)
+    # the Bose-Einstein fit reads only the unflagged levels
+    kept = [lv for lv in fitted if "flags" not in lv]
+    want = fit_bose_einstein([lv["center"] for lv in kept],
+                             [lv["occupation"] for lv in kept])
+    assert record["bose"]["points"] == 3
+    assert record["bose"]["temperature"] == want.temperature
+
+
+def test_thermometry_records_the_warnings_of_its_fits(tmp_path):
+    # a Keldysh weight below the spectral one reads as a negative occupation
+    levels = [(5.0, 0.5, 1.0), (10.0, 0.5, -0.3), (15.0, 0.5, 0.3)]
+    texts = []
+    for _ in range(2):
+        with pytest.warns(UserWarning, match="unphysical occupation"):
+            _, record = run_synthetic_thermometry(tmp_path / "out", levels,
+                                                  [5.0, 10.0, 15.0])
+        texts.append((tmp_path / "out" / "thermometry.json").read_text())
+    assert record["warnings"] == [
+        {"category": "UserWarning",
+         "message": "unphysical occupation -3.000e-01 from ratio 0.400000 < 1"}]
+    # a rerun in the same process records the same list
+    assert texts[0] == texts[1]
+
+
+def run_synthetic_thermometry(outdir, levels, seeds):
+    """The thermometry stage on a synthetic trace of Lorentzian levels given
+    as (center, width, occupation); returns the manifest and the record."""
+    outdir.mkdir(exist_ok=True)
     energies = np.linspace(-5.0, 40.0, 181)
 
     def lorentzian(center, width):
@@ -418,29 +467,45 @@ def test_thermometry_flags_levels_off_the_energy_grid(tmp_path, levels, seeds,
     grid = {"start": -5.0, "stop": 40.0, "count": 181}
     (outdir / "greens_index.json").write_text(json.dumps({
         "window": "hann", "tau_max": 8.0, "tau_step": 0.1,
-        "energy_grid": grid, "green_pairs": [[m, m] for m in range(4)],
+        "energy_grid": grid,
+        "green_pairs": [[m, m] for m in range(len(levels))],
         "density_pairs": [],
         "entries": [{"time_index": 0, "com_time": 0.0, "green_files": {},
                      "density_files": {},
                      "trace_files": {"spectral": "trace_spectral_t0.csv",
                                      "keldysh": "trace_keldysh_t0.csv"}}]}))
-    cfg = {"model": {"num_modes": 4, "num_particles": 2},
+    cfg = {"model": {"num_modes": len(levels), "num_particles": 2},
            "measurement": {"energy_grid": grid, "density_pairs": []},
-           "fits": {"peak_count": 4, "seed_centers": seeds},
+           "fits": {"peak_count": len(levels), "seed_centers": seeds},
            "output_dir": str(outdir)}
-    run(cfg, stages=["thermometry"])
+    manifest = run(cfg, stages=["thermometry"])
+    report = json.loads((outdir / "thermometry.json").read_text())
+    return manifest, report["bose"][0]
 
-    record = json.loads((outdir / "thermometry.json").read_text())["bose"][0]
-    fitted = record["levels"]
-    assert [lv.get("flags") for lv in fitted] == [
-        flagged.get(p) for p in range(len(levels))]
-    for lv, (center, width, occ) in zip(fitted, levels):
-        assert lv["center"] == pytest.approx(center, abs=1e-6)
-        assert lv["width"] == pytest.approx(width, rel=1e-6)
-        assert lv["occupation"] == pytest.approx(occ, abs=1e-6)
-    # the Bose-Einstein fit reads only the unflagged levels
-    kept = [lv for lv in fitted if "flags" not in lv]
-    want = fit_bose_einstein([lv["center"] for lv in kept],
-                             [lv["occupation"] for lv in kept])
-    assert record["bose"]["points"] == 3
-    assert record["bose"]["temperature"] == want.temperature
+
+@pytest.mark.parametrize("step, stop, slow, ripple, flags", [
+    # decays over 3 and 30, both resolved by the samples
+    (1.0, 400.0, 0.3, 0.0, None),
+    # the fast decay is shorter than the sample step
+    (4.0, 400.0, 0.3, 0.0, ["tau_fast below the sample step"]),
+    # a ripple that does not die out reads as a decay longer than the trace
+    (0.5, 200.0, 0.0, 0.05, ["tau_slow exceeds the sampled span"]),
+])
+def test_relaxation_fits_flag_time_scales_the_trace_cannot_resolve(
+        tmp_path, step, stop, slow, ripple, flags):
+    outdir = tmp_path / "out"
+    outdir.mkdir()
+    t = np.arange(0.0, stop + step / 2, step)
+    entropy = (1.0 + 0.5 * np.exp(-t / 3.0) + slow * np.exp(-t / 30.0)
+               + ripple * np.cos(1.3 * t))
+    write_csv(outdir / "entropy.csv", ["Jt", "entropy", "entropy_bound"],
+              [t, entropy, np.full(t.size, 2.0)])
+    run({"model": {"num_modes": 3, "num_particles": 2},
+         "output_dir": str(outdir)}, stages=["fit"])
+    entry = json.loads(
+        (outdir / "relaxation_fits.json").read_text())["entropy"]
+    assert entry.get("flags") == flags
+    assert (entry["tau_fast"] < step) == (flags is not None
+                                          and "tau_fast" in flags[0])
+    assert (entry["tau_slow"] > stop) == (flags is not None
+                                          and "tau_slow" in flags[0])
