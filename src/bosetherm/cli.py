@@ -64,10 +64,9 @@ def _parse_pair(text: str) -> list[int]:
 
 def _fit_command(args) -> dict:
     from .correlators import CorrelatorSpectrum
-    from .errors import ConfigError
-    from .runner import _jsonify, read_csv
-    from .thermofit import (fit_biexponential, fit_bose_einstein,
-                            fit_fdt_beta, plateau_stats)
+    from .errors import ConfigError, NumericsError
+    from .runner import _jsonify, _relaxation_entry, read_csv
+    from .thermofit import fit_bose_einstein, fit_fdt_beta
 
     path = Path(args.csv)
     if not path.exists():
@@ -83,17 +82,12 @@ def _fit_command(args) -> dict:
         yname = args.column or names[1]
         if yname not in cols:
             raise ConfigError(f"{path} has no column '{yname}'")
-        times, values = cols[names[0]], cols[yname]
-        plateau, sigma = plateau_stats(values, args.tail_fraction)
-        fit = fit_biexponential(times, values, plateau, noise_floor=sigma)
-        return _jsonify({
-            "model": "biexp", "column": yname,
-            "plateau": plateau, "plateau_std": sigma,
-            "amplitude_fast": fit.amplitude_fast,
-            "amplitude_slow": fit.amplitude_slow,
-            "tau_fast": fit.tau_fast, "tau_slow": fit.tau_slow,
-            "residual": fit.residual, "detail": fit.detail,
-        })
+        # the fit stage's own entry, so the same flags mark the same fit
+        entry = _relaxation_entry(cols[names[0]], cols[yname],
+                                  args.tail_fraction)
+        if "error" in entry:
+            raise NumericsError(entry["error"])
+        return _jsonify({"model": "biexp", "column": yname, **entry})
 
     if args.model == "bose":
         sigmas = cols[names[2]] if len(names) > 2 else None

@@ -12,8 +12,12 @@ pipeline:
     regression.
 
 All nonlinear fits run scipy's least_squares on log-reparametrized positive
-parameters, with a few deterministic restarts; standard errors come from the
-Jacobian at the solution.
+parameters, with a few deterministic restarts. The Lorentzian and
+bi-exponential fits pass analytic Jacobians, so their standard errors come
+from the exact Jacobian at the solution. Each Lorentzian peak is written in
+min(1, g) and min(1, 1/g), so no trial log-width overflows, and the
+bi-exponential sums its terms as logarithms. A residual or Jacobian that is
+not finite all the same raises FitConvergenceError.
 """
 
 from __future__ import annotations
@@ -30,6 +34,8 @@ from .correlators import CorrelatorSpectrum, tau_grid, window_values
 from .errors import FitConvergenceError, GridMismatchError, ShortSeriesError
 
 MAX_FIT_ITERATIONS = 500
+# |log gamma| below which gamma^2 is a positive, finite float
+_LOG_WIDTH_LIMIT = 0.5 * math.log(np.finfo(float).max)
 
 
 @dataclass
@@ -106,21 +112,55 @@ def _covariance(result) -> np.ndarray:
     return inv * variance
 
 
-def _lorentzian_model(params: np.ndarray, energies: np.ndarray) -> np.ndarray:
-    total = np.zeros_like(energies)
-    for p in range(params.size // 3):
-        w, e0, log_g = params[3 * p:3 * p + 3]
-        g = np.exp(log_g)
-        total += w * (g / np.pi) / ((energies - e0) ** 2 + g ** 2)
-    return total
+def _least_squares(what: str, fun, x0: np.ndarray, jac="2-point", **kwargs):
+    """scipy's least_squares, with a non-finite residual or Jacobian raised as
+    FitConvergenceError rather than scipy's ValueError."""
+    def finite(f):
+        def checked(p):
+            out = f(p)
+            if not np.all(np.isfinite(out)):
+                raise FitConvergenceError(
+                    f"{what} fit met a non-finite residual or Jacobian at "
+                    f"parameters {np.array2string(p, precision=3)}")
+            return out
+        return checked
+    if callable(jac):
+        jac = finite(jac)
+    return least_squares(finite(fun), x0, jac=jac, **kwargs)
+
+
+def _lorentzian_model(params: np.ndarray, energies: np.ndarray,
+                      jacobian: bool = False) -> np.ndarray:
+    """Sum of peaks w (g/pi) / ((E - e0)^2 + g^2) over (w, e0, log g)
+    triples, or its Jacobian in the same parameter order.
+
+    With c = min(1, 1/g) and k = min(1, g), so that g = k/c, a peak reads
+    w c k / (pi ((c (E - e0))^2 + k^2)). Neither factor exceeds 1, so no
+    log-width overflows.
+    """
+    w, e0, log_g = params.reshape(-1, 3).T
+    c = np.exp(-np.maximum(log_g, 0.0))[:, None]
+    k = np.exp(np.minimum(log_g, 0.0))[:, None]
+    cd = c * (energies - e0[:, None])
+    denom = cd ** 2 + k ** 2
+    shape = c * k / (np.pi * denom)
+    peaks = w[:, None] * shape
+    if not jacobian:
+        return peaks.sum(axis=0)
+    jac = np.empty((energies.size, params.size))
+    jac[:, 0::3] = shape.T
+    jac[:, 1::3] = (peaks * 2.0 * c * cd / denom).T
+    jac[:, 2::3] = (peaks * (1.0 - 2.0 * k ** 2 / denom)).T
+    return jac
 
 
 def _raw_lorentzian_fit(energies: np.ndarray, data: np.ndarray,
                         starts: list[np.ndarray]):
     best = None
     for x0 in starts:
-        res = least_squares(
-            lambda p: _lorentzian_model(p, energies) - data, x0,
+        res = _least_squares(
+            "peak", lambda p: _lorentzian_model(p, energies) - data, x0,
+            jac=lambda p: _lorentzian_model(p, energies, jacobian=True),
             max_nfev=MAX_FIT_ITERATIONS * x0.size, gtol=1e-12)
         if best is None or res.cost < best.cost:
             best = res
@@ -205,15 +245,16 @@ def fit_lorentzians(spectrum: CorrelatorSpectrum, peak_count: int,
     best = _raw_lorentzian_fit(energies, data, starts)
 
     params = best.x.copy()
-    # widths were fitted in log space; a log-width far below zero
-    # underflows to gamma = 0, which is no peak
-    gammas = np.exp(params[2::3])
-    if not (np.all(np.isfinite(params)) and np.all(np.isfinite(gammas))
-            and np.all(gammas > 0)):
-        widths = ", ".join(f"{g:.3e}" for g in gammas)
+    # widths were fitted in log space; far below zero gamma underflows to
+    # no peak, far above it gamma^2 overflows in the covariance
+    log_widths = params[2::3]
+    if not (np.all(np.isfinite(params))
+            and np.all(np.abs(log_widths) < _LOG_WIDTH_LIMIT)):
+        shown = ", ".join(f"{x:.3e}" for x in log_widths)
         raise FitConvergenceError(
-            "peak fit ended at a non-finite parameter or a width that is "
-            f"not positive (widths {widths})")
+            "peak fit ended at a non-finite parameter or a log-width beyond "
+            f"+-{_LOG_WIDTH_LIMIT:.0f} (log-widths {shown})")
+    gammas = np.exp(log_widths)
     cov = _covariance(best)
     # push the covariance through gamma = e^x
     jac_diag = np.ones_like(params)
@@ -287,8 +328,9 @@ def fit_bose_einstein(energies, occupations, sigmas=None) -> TemperatureFit:
     positive = occupations > 0
     guess = energies[positive] / np.log1p(1.0 / occupations[positive])
     x0 = np.array([np.log(np.median(guess))])
-    res = least_squares(lambda p: root_w * (model(p[0]) - occupations), x0,
-                        max_nfev=MAX_FIT_ITERATIONS, gtol=1e-12)
+    res = _least_squares("temperature",
+                         lambda p: root_w * (model(p[0]) - occupations), x0,
+                         max_nfev=MAX_FIT_ITERATIONS, gtol=1e-12)
     if not res.success:
         raise FitConvergenceError(
             f"temperature fit did not converge; best squared residual "
@@ -376,10 +418,25 @@ def temperature_timeline(spectra_pairs, e_window) -> list[TemperatureFit]:
     return timeline
 
 
-def _biexp_model(params: np.ndarray, times: np.ndarray,
-                 floor: float) -> np.ndarray:
-    a1, a2, t1, t2 = np.exp(params)
-    return a1 * np.exp(-times / t1) + a2 * np.exp(-times / t2) + floor
+def _biexp_model(params: np.ndarray, times: np.ndarray, floor: float,
+                 jacobian: bool = False) -> np.ndarray:
+    """log(a1 e^{-t/tau1} + a2 e^{-t/tau2} + floor) over the parameters
+    log(a1, a2, tau1, tau2), or its Jacobian in the same order.
+
+    The terms are summed as logarithms, so no amplitude or rate overflows
+    and the logarithm stays finite where the terms underflow.
+    """
+    rates = np.exp(-params[2:])[:, None]
+    terms = params[:2, None] - rates * times
+    log_model = np.logaddexp(terms[0], terms[1])
+    if floor > 0:
+        log_model = np.logaddexp(log_model, math.log(floor))
+    if not jacobian:
+        return log_model
+    shares = np.exp(terms - log_model)
+    return np.column_stack([shares[0], shares[1],
+                            shares[0] * rates[0] * times,
+                            shares[1] * rates[1] * times])
 
 
 def fit_biexponential(times, values, plateau: float,
@@ -408,8 +465,7 @@ def fit_biexponential(times, values, plateau: float,
     span = float(t.max() - t.min()) or 1.0
     z0 = float(z.max())
 
-    def residual(p):
-        return np.log(_biexp_model(p, t, noise_floor)) - np.log(z)
+    log_z = np.log(z)
 
     starts = []
     for split, fast, slow in ((0.8, 0.05, 0.33), (0.5, 0.02, 0.2),
@@ -418,8 +474,10 @@ def fit_biexponential(times, values, plateau: float,
                               fast * span, slow * span]))
     best = None
     for x0 in starts:
-        res = least_squares(residual, x0,
-                            max_nfev=MAX_FIT_ITERATIONS * 4, gtol=1e-12)
+        res = _least_squares(
+            "relaxation", lambda p: _biexp_model(p, t, noise_floor) - log_z,
+            x0, jac=lambda p: _biexp_model(p, t, noise_floor, jacobian=True),
+            x_scale="jac", max_nfev=MAX_FIT_ITERATIONS * 4, gtol=1e-12)
         if best is None or res.cost < best.cost:
             best = res
     if not best.success:

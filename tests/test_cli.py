@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from bosetherm.cli import main
-from bosetherm.runner import write_csv
+from bosetherm.runner import _jsonify, _relaxation_entry, write_csv
 
 
 def write_config(path, config) -> str:
@@ -111,6 +111,31 @@ def test_fit_biexp_model(tmp_path, capsys):
     assert abs(payload["plateau"] - 5.15) < 0.01
     printed = json.loads(capsys.readouterr().out)
     assert printed == payload
+
+
+def test_fit_biexp_flags_a_decay_longer_than_the_trace(tmp_path, capsys):
+    # a ripple that does not die out reads as a decay longer than the trace;
+    # the command flags it as the fit stage does
+    t = np.arange(0.0, 200.25, 0.5)
+    curve = 1.0 + 0.5 * np.exp(-t / 3.0) + 0.05 * np.cos(1.3 * t)
+    table = tmp_path / "entropy.csv"
+    write_csv(table, ["Jt", "entropy"], [t, curve])
+    assert main(["fit", str(table), "--model", "biexp"]) == 0
+    printed = json.loads(capsys.readouterr().out)
+    assert printed["tau_slow"] > t[-1] - t[0]
+    assert printed["flags"] == ["tau_slow exceeds the sampled span"]
+    stage = _relaxation_entry(t, curve, 0.2)
+    assert printed == json.loads(json.dumps(_jsonify(
+        {"model": "biexp", "column": "entropy", **stage})))
+
+
+def test_fit_biexp_failure_exits_three(tmp_path, capsys):
+    # a tail of 5 samples cannot define a plateau
+    t = np.linspace(0.0, 10.0, 25)
+    table = tmp_path / "short.csv"
+    write_csv(table, ["Jt", "signal"], [t, np.exp(-t)])
+    assert main(["fit", str(table), "--model", "biexp"]) == 3
+    assert "ShortSeriesError" in capsys.readouterr().err
 
 
 def test_fit_fdt_model(tmp_path, capsys):

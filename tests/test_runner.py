@@ -405,9 +405,12 @@ def test_evolve_stage_picks_its_propagator_by_base_step(tmp_path,
     # one is centred beyond the top of the grid
     ([(5.0, 0.5, 1.0), (10.0, 0.5, 0.5), (20.0, 0.5, 0.25), (60.0, 3.0, 0.1)],
      [5.0, 10.0, 20.0, 45.0], {3: ["center outside the energy grid"]}),
-    # one is narrower than the grid spacing of 0.25
-    ([(5.0, 0.5, 1.0), (10.0, 0.15, 0.5), (15.0, 0.5, 0.3), (20.0, 0.5, 0.25)],
-     [5.0, 10.0, 15.0, 20.0], {1: ["width below the energy grid spacing"]}),
+    # one is narrower than the grid spacing of 0.25; the fit's trial steps
+    # reach large log-widths, which must not overflow
+    *[([(5.0, 0.5, 1.0), (10.0, width, 0.5), (15.0, 0.5, 0.3),
+        (20.0, 0.5, 0.25)],
+       [5.0, 10.0, 15.0, 20.0], {1: ["width below the energy grid spacing"]})
+      for width in (0.15, 0.1, 0.05)],
 ])
 def test_thermometry_flags_levels_off_the_energy_grid(tmp_path, levels, seeds,
                                                       flagged):

@@ -1,9 +1,11 @@
 """Fit recovery on synthetic data plus a Gibbs-ensemble thermometer check."""
 
 import types
+import warnings
 
 import numpy as np
 import pytest
+from scipy.optimize._numdiff import approx_derivative
 
 import oracles
 from bosetherm import thermofit
@@ -84,6 +86,81 @@ def test_underflowed_width_is_a_fit_failure(monkeypatch):
     stuck.x = np.array([1.0, np.nan, 0.0])
     with pytest.raises(FitConvergenceError):
         fit_lorentzians(spectrum_of(energies, data), 1)
+    # nor may a huge one overflow on its way to the covariance
+    stuck.x = np.array([1.0, 10.0, 900.0])
+    with pytest.raises(FitConvergenceError, match="log-width"):
+        fit_lorentzians(spectrum_of(energies, data), 1)
+
+
+@pytest.mark.parametrize("peaks", [1, 2, 3])
+@pytest.mark.parametrize("log_width", [-30.0, -8.0, -1.0, 0.0, 1.0, 8.0, 30.0])
+def test_lorentzian_jacobian_matches_finite_differences(peaks, log_width):
+    # centres sit midway between grid points, where a narrow peak's tails
+    # are smooth on the scale of the difference step
+    energies = np.linspace(-5.0, 25.0, 61)
+    params = np.empty(3 * peaks)
+    params[0::3] = [1.0, -0.4, 2.5][:peaks]
+    params[1::3] = [1.25, 3.75, 6.25][:peaks]
+    params[2::3] = log_width + np.array([0.0, 0.3, -0.2])[:peaks]
+    exact = thermofit._lorentzian_model(params, energies, jacobian=True)
+    numeric = approx_derivative(
+        lambda p: thermofit._lorentzian_model(p, energies), params,
+        method="3-point")
+    assert exact.shape == (energies.size, 3 * peaks)
+    assert np.abs(exact - numeric).max() <= 1e-6 * np.abs(exact).max()
+
+
+def test_lorentzian_model_does_not_overflow_at_huge_log_widths():
+    energies = np.linspace(-5.0, 25.0, 61)
+    params = np.array([1.0, 10.0, 900.0, 1.0, 5.0, -30.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        values = thermofit._lorentzian_model(params, energies)
+        jac = thermofit._lorentzian_model(params, energies, jacobian=True)
+    assert np.all(np.isfinite(values)) and np.all(np.isfinite(jac))
+    # a peak of width e^900 carries no height on the grid
+    narrow_only = thermofit._lorentzian_model(params[3:], energies)
+    np.testing.assert_array_equal(values, narrow_only)
+
+
+@pytest.mark.parametrize("taus", [(0.5, 20.0), (3.0, 3.0 * (1 + 1e-9)),
+                                  (1e-3, 1e4)])
+@pytest.mark.parametrize("floor", [0.0, 1e-3])
+def test_biexponential_jacobian_matches_finite_differences(taus, floor):
+    times = np.linspace(0.0, 40.0, 81)
+    params = np.log([2.0, 0.3, *taus])
+    exact = thermofit._biexp_model(params, times, floor, jacobian=True)
+    numeric = approx_derivative(
+        lambda p: thermofit._biexp_model(p, times, floor), params,
+        method="3-point")
+    assert np.abs(exact - numeric).max() <= 1e-6 * np.abs(exact).max()
+
+
+def nan_model(model, jacobian_only):
+    """model with NaN in its Jacobian, and in its values unless
+    jacobian_only."""
+    def broken(*args, jacobian=False):
+        out = model(*args, jacobian=jacobian)
+        return np.full_like(out, np.nan) if jacobian or not jacobian_only \
+            else out
+    return broken
+
+
+@pytest.mark.parametrize("jacobian_only", [False, True])
+def test_non_finite_model_is_a_fit_failure(monkeypatch, jacobian_only):
+    # scipy would raise ValueError on either; the fit raises its own type
+    energies = np.linspace(0.0, 20.0, 401)
+    spectrum = spectrum_of(energies, lorentzian(energies, 1.0, 10.0, 0.5))
+    monkeypatch.setattr(thermofit, "_lorentzian_model",
+                        nan_model(thermofit._lorentzian_model, jacobian_only))
+    with pytest.raises(FitConvergenceError, match="non-finite"):
+        fit_lorentzians(spectrum, 1)
+    times = np.linspace(0.0, 8.0, 81)
+    values = 1.0 + np.exp(-times / 0.5) + 0.3 * np.exp(-times / 3.0)
+    monkeypatch.setattr(thermofit, "_biexp_model",
+                        nan_model(thermofit._biexp_model, jacobian_only))
+    with pytest.raises(FitConvergenceError, match="non-finite"):
+        fit_biexponential(times, values, plateau=1.0)
 
 
 def test_window_mass_correction_recovers_level_weight():
