@@ -8,8 +8,8 @@ module-wide because two-time Green functions walk the N-1 and N+1 sectors
 next to N.
 
 This module owns the ladder rule: b takes sqrt(n) and annihilates n = 0,
-b^dagger takes sqrt(n + 1). `_apply_word` applies a product of them; the
-sector maps here and the Hamiltonian terms both go through it.
+b^dagger takes sqrt(n + 1). Each sector caches one map per mode and
+direction; the Hamiltonian builds its couplings from the lowering maps.
 """
 
 from __future__ import annotations
@@ -41,27 +41,6 @@ def _fill_states(num_modes: int, num_particles: int) -> np.ndarray:
         col = np.full((tail.shape[0], 1), head, dtype=np.int64)
         blocks.append(np.hstack((col, tail)))
     return np.vstack(blocks)
-
-
-def _apply_word(states: np.ndarray, word):
-    """Apply a product of ladder operators to occupation tuples.
-
-    word lists (mode, raising) factors as written, so the last factor acts
-    first. Returns (src, moved, amp) for the rows the product does not
-    annihilate: their indices into states, their occupations afterwards and
-    the amplitude, which starts at 1.0 and takes each factor's sqrt(n) or
-    sqrt(n + 1) in the order the factors act.
-    """
-    moved = states.copy()
-    amp = np.ones(states.shape[0])
-    for mode, raising in reversed(word):
-        n = moved[:, mode]  # a view: the update below moves the rows
-        # sqrt(n + 1) going up, sqrt(n) going down; a row an earlier factor
-        # annihilated can hold a negative count, and the clamp keeps it at 0
-        amp *= np.sqrt(np.maximum(n + 1.0 if raising else n, 0.0))
-        n += 1 if raising else -1
-    src = np.nonzero(amp > 0)[0]
-    return src, moved[src], amp[src]
 
 
 class FockBasis:
@@ -139,7 +118,12 @@ class FockBasis:
                 raise ValueError("cannot annihilate out of the vacuum sector")
             target = enumerate_basis(self.num_modes,
                                      self.num_particles + (1 if raising else -1))
-            src, moved, amp = _apply_word(self.states, [(mode, raising)])
+            n = self.states[:, mode]
+            src = np.arange(self.dim) if raising else np.flatnonzero(n)
+            moved = self.states[src]
+            moved[:, mode] += 1 if raising else -1
+            # sqrt(n + 1) going up, sqrt(n) going down
+            amp = np.sqrt(n[src] + (1.0 if raising else 0.0))
             self._ladder_maps[key] = (src, target.index_array(moved), amp, target)
         return self._ladder_maps[key]
 

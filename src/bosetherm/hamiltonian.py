@@ -6,8 +6,18 @@ H = Delta * sum_i i * n_i                       (ladder of level energies)
   + U' * sum_{(i,j,l,m) not all equal} b_i^dag b_j^dag b_l b_m
 
 The last sum runs over every ordered quadruple except i=j=l=m, with no
-symmetry reduction; permutation-repeated terms are summed as written. All
-couplings are real, so the matrix comes out real symmetric. It is stored
+symmetry reduction; permutation-repeated terms are summed as written.
+
+Both couplings act between all levels alike, so with the collective lowering
+operator B = sum_m b_m they are complete sums less their diagonal parts:
+  sum_{i != j} b_i^dag b_j = B^dag B - N,
+  sum_{not all equal} b_i^dag b_j^dag b_l b_m = (BB)^dag (BB) - sum_i n_i (n_i - 1).
+So H = diag(d) + J B^T B + U' (B'B)^T (B'B), with B' the same sum on the N-1
+sector and d = Delta sum_i i n_i + (U - U') sum_i n_i (n_i - 1) - J N. The
+diagonal is kept in closed form: integer arithmetic on the occupations gives
+it exactly, where ladder products would round their square roots.
+
+All couplings are real, so the matrix comes out real symmetric. It is stored
 complex, the dtype of the states it acts on and of the Taylor ladder built
 from it; diagonalize takes its real part, so the eigenvectors are real.
 
@@ -16,15 +26,15 @@ Energies are measured in units of J throughout (set hopping=1).
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as la
+import scipy.sparse as sp
 
 from .errors import EmptyWindowError, IntegrityError, NumericsError
-from .fock import FockBasis, StateVector, _apply_word, enumerate_basis
+from .fock import FockBasis, StateVector, enumerate_basis
 
 # reference values for the adjacent-gap ratio statistic
 GOE_MEAN_R = 0.5307
@@ -89,34 +99,33 @@ class SectorOperator:
         return float(np.abs(self.matrix).max())
 
 
-def _term_maps(params: HamiltonianParams, basis: FockBasis):
-    """Yield (src, dst, amp) scatter maps, one per Hamiltonian term.
+def _collective_lowering(basis: FockBasis):
+    """B = sum_m b_m from basis into its N-1 sector, as CSR, and that sector."""
+    src, dst, amp, targets = zip(*(basis.lowering_map(m)
+                                   for m in range(basis.num_modes)))
+    b = sp.csr_matrix(
+        (np.concatenate(amp), (np.concatenate(dst), np.concatenate(src))),
+        shape=(targets[0].dim, basis.dim))
+    return b, targets[0]
 
-    Each map is injective in src, so both dense assembly and matrix-free
-    application can scatter without accumulation conflicts.
+
+def _hamiltonian_terms(params: HamiltonianParams, basis: FockBasis):
+    """H on a sector as (d, pairs), with H = diag(d) + sum c K^T K over pairs.
+
+    The pairs are (J, B) and (U', B'B); a sector with N < 2 lacks those its
+    particles cannot feed.
     """
     occ = basis.states
-    modes = params.num_modes
-
-    idx = np.arange(basis.dim)
-    # n(n-1) in closed form: the word b^dag b^dag b b would round its sqrts
-    diag = (params.level_spacing * (occ * np.arange(modes)).sum(axis=1)
-            + params.u_intra * (occ * (occ - 1)).sum(axis=1)).astype(float)
-    yield idx, idx, diag
-
-    terms = []
-    if params.hopping != 0.0:
-        terms += [(params.hopping, ((i, True), (j, False)))
-                  for i in range(modes) for j in range(modes) if i != j]
-    if params.u_inter != 0.0:
-        # i=j=l=m belongs to the U term
-        terms += [(params.u_inter, ((i, True), (j, True), (l, False), (m, False)))
-                  for i, j, l, m in itertools.product(range(modes), repeat=4)
-                  if not i == j == l == m]
-    for coefficient, word in terms:
-        src, moved, amp = _apply_word(occ, word)
-        if src.size:
-            yield src, basis.index_array(moved), coefficient * amp
+    d = (params.level_spacing * (occ * np.arange(params.num_modes)).sum(axis=1)
+         + (params.u_intra - params.u_inter) * (occ * (occ - 1)).sum(axis=1)
+         - params.hopping * basis.num_particles).astype(float)
+    pairs = []
+    if basis.num_particles >= 1:
+        b, lower = _collective_lowering(basis)
+        pairs.append((params.hopping, b))
+        if basis.num_particles >= 2:
+            pairs.append((params.u_inter, _collective_lowering(lower)[0] @ b))
+    return d, pairs
 
 
 def build_hamiltonian(params: HamiltonianParams,
@@ -130,9 +139,12 @@ def build_hamiltonian(params: HamiltonianParams,
         basis = enumerate_basis(params.num_modes, params.num_particles)
     if basis.num_modes != params.num_modes:
         raise ValueError("basis mode count does not match params")
+    d, pairs = _hamiltonian_terms(params, basis)
+    terms = sum((c * (k.T @ k) for c, k in pairs), sp.diags(d)).tocoo()
     h = np.zeros((basis.dim, basis.dim), dtype=np.complex128)
-    for src, dst, amp in _term_maps(params, basis):
-        h[dst, src] += amp
+    h[terms.row, terms.col] = terms.data  # the sum holds each entry once
+    # the sparse terms go before the Hermiticity check's dense temporaries
+    del d, pairs, terms
     return SectorOperator(basis, h)
 
 
@@ -140,9 +152,11 @@ def apply_hamiltonian(params: HamiltonianParams, state: StateVector) -> StateVec
     """H |state> without building the dense matrix."""
     if state.basis.num_modes != params.num_modes:
         raise ValueError("state mode count does not match params")
-    out = np.zeros(state.basis.dim, dtype=np.complex128)
-    for src, dst, amp in _term_maps(params, state.basis):
-        out[dst] += amp * state.amplitudes[src]
+    d, pairs = _hamiltonian_terms(params, state.basis)
+    psi = state.amplitudes
+    out = d * psi
+    for c, k in pairs:
+        out += c * (k.T @ (k @ psi))
     return StateVector(state.basis, out)
 
 

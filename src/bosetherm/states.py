@@ -35,15 +35,12 @@ def microcanonical_state(eig: EigenSystem, e_min: float, e_max: float,
                          phase_seed: int | None = None) -> StateVector:
     """Equal-weight combination of all eigenstates inside [e_min, e_max].
 
-    Without phase_seed every component has phase +1 relative to a fixed
-    sign convention: each eigenvector is taken rotated so that its
-    largest-magnitude component is real and positive, ties within a
-    relative 1e-8 going to the lowest basis index. The state is then the
-    same whatever signs or phases the eigensolver picked.
-
-    With phase_seed each component gets a reproducible random phase. Those
-    phases multiply the eigenvectors exactly as the eigensolver returned
-    them, so a seeded state reproduces on one LAPACK build only.
+    Each eigenvector is first rotated to a fixed sign convention: its
+    largest-magnitude component is made real and positive, ties within a
+    relative 1e-8 going to the lowest basis index. Without phase_seed every
+    component then has phase +1; with phase_seed each gets a reproducible
+    random phase on top. Either way the state is the same whatever signs or
+    phases the eigensolver picked.
     """
     if e_max < e_min:
         raise ValueError("window must have e_min <= e_max")
@@ -59,11 +56,10 @@ def microcanonical_state(eig: EigenSystem, e_min: float, e_max: float,
         raise EmptyWindowError(
             f"no levels in [{e_min}, {e_max}]; " + "; ".join(hints))
     columns = eig.vectors[:, selected]
-    if phase_seed is None:
-        phases = _canonical_phases(columns)
-    else:
+    phases = _canonical_phases(columns)
+    if phase_seed is not None:
         rng = np.random.default_rng(phase_seed)
-        phases = np.exp(2j * np.pi * rng.uniform(size=selected.size))
+        phases = phases * np.exp(2j * np.pi * rng.uniform(size=selected.size))
     amps = (columns @ phases) / np.sqrt(selected.size)
     return StateVector(eig.basis, amps)
 

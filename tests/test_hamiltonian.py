@@ -41,7 +41,7 @@ def test_two_particles_two_levels_diagonal_without_mixing():
 
 
 @pytest.mark.parametrize("modes,particles", [(2, 3), (3, 3), (4, 2), (1, 3),
-                                             (3, 0), (5, 1)])
+                                             (3, 0), (5, 1), (5, 4), (4, 6)])
 def test_matches_brute_force_product_construction(modes, particles):
     p = params_for(modes, particles, delta=7.3, j=1.0, u=0.9, uprime=0.23)
     h = build_hamiltonian(p).matrix
@@ -56,8 +56,9 @@ def test_matrix_is_real_symmetric():
     assert np.abs(h - h.T).max() < 1e-12
 
 
-def test_apply_matches_dense():
-    p = params_for(3, 4)
+@pytest.mark.parametrize("particles", [0, 1, 4])
+def test_apply_matches_dense(particles):
+    p = params_for(3, particles)
     op = build_hamiltonian(p)
     rng = np.random.default_rng(5)
     amps = rng.normal(size=op.basis.dim) + 1j * rng.normal(size=op.basis.dim)

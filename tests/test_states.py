@@ -60,13 +60,15 @@ def test_microcanonical_random_phases_keep_weights(small_eig):
     assert seeded.norm() == pytest.approx(1.0, abs=1e-12)
 
 
-def test_microcanonical_equal_phases_ignore_eigenvector_signs(small_eig):
+@pytest.mark.parametrize("phase_seed", [None, 7])
+def test_microcanonical_equal_phases_ignore_eigenvector_signs(small_eig,
+                                                              phase_seed):
     eig = small_eig
     lo, hi = eig.energies[3], eig.energies[10]
     signs = np.where(np.arange(eig.basis.dim) % 3 == 1, -1.0, 1.0)
     flipped = EigenSystem(eig.basis, eig.energies, eig.vectors * signs)
-    want = microcanonical_state(eig, lo, hi)
-    got = microcanonical_state(flipped, lo, hi)
+    want = microcanonical_state(eig, lo, hi, phase_seed=phase_seed)
+    got = microcanonical_state(flipped, lo, hi, phase_seed=phase_seed)
     assert np.abs(got.amplitudes - want.amplitudes).max() <= 1e-12
 
 
