@@ -7,16 +7,17 @@ the neighbor sectors:
     lesser  G<_ij(t, tau) = -i <b_j^dag(t2) b_i(t1)>   (N-1 sector inside)
     greater G>_ij(t, tau) = -i <b_i(t1) b_j^dag(t2)>   (N+1 sector inside)
 
-Occupation correlators stay in the N sector. The trajectory states
-psi(t + m*dtau/2) are built once, one matrix-vector product per half step
-with U(dtau/2). Each tau point then needs one sector walk on a few sector
-vectors; the walks of many tau points are stacked as the columns of one
-block and moved together by advance_columns. On eigen propagators (the
-default of build_sector_ladders) a walk is exact: two real products with
-the eigenvectors around per-column phases. On ladders (an explicit
+Occupation correlators stay in the N sector. Every walk is an
+advance_columns block, one step count per column. The trajectory states
+psi(t + m*dtau/2), m = -K..K, are one block: psi0 in every column, each
+column with its own count. Each tau point then needs one sector walk on a
+few sector vectors; the walks of many tau points are stacked as the columns
+of one block and moved together. On eigen propagators (the default of
+build_sector_ladders) a walk is exact: two real products with the
+eigenvectors around per-column phases. On ladders (an explicit
 PropagatorConfig) it takes O(log tau) rung applies, and each rung meets the
-block as matrix-matrix products. Blocks hold at most dim(N) columns, which
-keeps the extra working set to a few sector-sized arrays.
+block as matrix-matrix products. The sweeps take the tau points in runs of
+at most dim(N) columns, which bounds the sector vectors they build at once.
 
 The energy transform follows f(E) = dtau * sum_k w(tau_k) C(tau_k)
 exp(+i E tau_k) with a Hann window by default. The series of one sweep
@@ -194,29 +195,27 @@ def build_sector_ladders(params, horizon: float, tau_step: float | None = None,
         upper=ladders.get(params.num_particles + 1))
 
 
-def _grid_steps(ladder: Propagator, tau: np.ndarray) -> tuple[int, int]:
-    """(half-count K, base steps per half tau step)."""
-    step = _validate_tau(np.asarray(tau, dtype=float))
-    half = step / 2.0
+def _trajectory(ladder: Propagator, psi0: StateVector, com_time: float,
+                tau: np.ndarray):
+    """Rows psi(t + m dtau/2) for m = -K..K, with t snapped to the lattice.
+
+    Returns (rows, K, base steps per tau step, snapped t). All 2K + 1 rows
+    are one advance_columns block of psi0.
+    """
+    if psi0.basis is not ladder.basis:
+        raise SectorMismatchError("initial state is not in the center sector")
+    half = _validate_tau(tau) / 2.0
     q2 = int(round(half / ladder.base_step))
     if q2 < 1 or abs(q2 * ladder.base_step - half) > 1e-9 * half:
         raise GridMismatchError(
             f"half tau step {half:.6e} is not a multiple of the ladder base "
             f"step {ladder.base_step:.6e}")
-    return (len(tau) - 1) // 2, q2
-
-
-def _trajectory_states(ladder: Propagator, psi0: StateVector,
-                       com_steps: int, q2: int, count: int) -> np.ndarray:
-    """Rows psi(t + m * dtau/2) for m = -count..count."""
-    states = np.empty((2 * count + 1, ladder.basis.dim), dtype=np.complex128)
-    half_step = ladder.advance(np.eye(ladder.basis.dim), q2)
-    cur = ladder.advance(psi0.amplitudes, com_steps - count * q2)
-    states[0] = cur
-    for s in range(1, 2 * count + 1):
-        cur = half_step @ cur
-        states[s] = cur
-    return states
+    k_half = (len(tau) - 1) // 2
+    com_steps, com_actual = ladder.snap(com_time)
+    steps = com_steps + q2 * np.arange(-k_half, k_half + 1)
+    block = np.broadcast_to(psi0.amplitudes[:, None],
+                            (ladder.basis.dim, steps.size))
+    return advance_columns(ladder, block, steps).T, k_half, 2 * q2, com_actual
 
 
 def _mode_block(basis: FockBasis, rows: np.ndarray, modes,
@@ -259,16 +258,12 @@ def single_particle_correlator_set(psi0: StateVector, ladders: SectorLadders,
     {pair: (lesser, greater)}.
     """
     basis = ladders.center.basis
-    if psi0.basis is not basis:
-        raise SectorMismatchError("initial state is not in the center sector")
     if ladders.lower is None or ladders.upper is None:
         raise ValueError("single-particle functions need all three ladders")
     pairs = _check_modes(basis, pairs)
     tau = np.asarray(tau, dtype=float)
-    k_half, q2 = _grid_steps(ladders.center, tau)
-    q = 2 * q2
-    com_steps, com_actual = ladders.center.snap(com_time)
-    half = _trajectory_states(ladders.center, psi0, com_steps, q2, k_half)
+    half, k_half, q, com_actual = _trajectory(ladders.center, psi0,
+                                              com_time, tau)
 
     modes = sorted({m for p in pairs for m in p})
     pos = {m: c for c, m in enumerate(modes)}
@@ -323,14 +318,9 @@ def density_correlators(psi0: StateVector, ladders, pair, com_time: float,
     """
     ladder = ladders.center if isinstance(ladders, SectorLadders) else ladders
     basis = ladder.basis
-    if psi0.basis is not basis:
-        raise SectorMismatchError("initial state is not in the ladder sector")
     (i, j), = _check_modes(basis, [pair])
     tau = np.asarray(tau, dtype=float)
-    k_half, q2 = _grid_steps(ladder, tau)
-    q = 2 * q2
-    com_steps, com_actual = ladder.snap(com_time)
-    half = _trajectory_states(ladder, psi0, com_steps, q2, k_half)
+    half, k_half, q, com_actual = _trajectory(ladder, psi0, com_time, tau)
     modes = sorted({i, j})
     occ = basis.states[:, modes].astype(float)
     ci, cj = modes.index(i), modes.index(j)

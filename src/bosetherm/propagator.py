@@ -7,7 +7,8 @@ Both propagators subclass Propagator, which owns that lattice, snap() and
 the one span check, so snapped times and span errors do not depend on which
 one runs. advance moves one vector (or one block sharing a step count);
 advance_columns checks a block whose columns each have their own count
-against the span and hands it to the propagator's own column walk.
+against the span and hands it, at most dim columns at a time, to the
+propagator's own column walk; every time grid of the package is one block.
 
 PropagatorLadder (the paper's method). The base propagator
 U0 = sum_{k<=k_max} (-i dt)^k H^k / k! is accurate for dt * max|H_ij| <= 0.1
@@ -272,7 +273,9 @@ class EigenPropagator(Propagator):
                       steps: np.ndarray) -> np.ndarray:
         """Column c times exp(-i E steps[c] dt) in the eigenbasis."""
         coeff = _times(self._adjoint, block)
-        coeff *= np.exp(-1j * np.outer(self.energies, steps * self.base_step))
+        phases = np.outer(-1j * self.energies, steps * self.base_step)
+        coeff *= np.exp(phases, out=phases)
+        del phases  # at most two block-sized arrays live at a time
         return _times(self.vectors, coeff)
 
 
@@ -294,7 +297,8 @@ def advance_columns(ladder: Propagator, block: np.ndarray,
     """Apply U0^steps[c] to column c of a (dim, columns) block.
 
     Column c comes out as ladder.advance(block[:, c], steps[c]) would give
-    it; negative counts evolve backward.
+    it; negative counts evolve backward. Walking dim columns at a time
+    keeps the working set to a few sector-sized arrays.
     """
     block = np.asarray(block)
     steps = np.asarray(steps, dtype=np.int64)
@@ -304,7 +308,14 @@ def advance_columns(ladder: Propagator, block: np.ndarray,
             f"{steps.shape} counts for a block of shape {block.shape}")
     if steps.size:
         ladder._check_span(int(np.abs(steps).max()))
-    return ladder._walk_columns(block, steps)
+    width = ladder.basis.dim
+    if steps.size <= width:
+        return ladder._walk_columns(block, steps)
+    out = np.empty(block.shape, dtype=np.complex128)
+    for lo in range(0, steps.size, width):
+        cols = slice(lo, lo + width)
+        out[:, cols] = ladder._walk_columns(block[:, cols], steps[cols])
+    return out
 
 
 def evolve_to(ladder: Propagator, state: StateVector, t: float,

@@ -41,13 +41,13 @@ import scipy
 
 from . import __version__
 from .errors import ConfigError, NumericsError
-from .fock import DIM_CAP, StateVector, sector_dimension
+from .fock import DIM_CAP, StateVector, enumerate_basis, sector_dimension
 from .hamiltonian import (GOE_MEAN_R, POISSON_MEAN_R, EigenSystem,
-                          HamiltonianParams, build_hamiltonian, diagonalize,
-                          r_ratio)
+                          HamiltonianParams, _hamiltonian_terms,
+                          build_hamiltonian, diagonalize, r_ratio)
 from .propagator import (PropagatorConfig, _depth_for_horizon,
-                         build_eigen_propagator, build_ladder,
-                         choose_base_step)
+                         advance_columns, build_eigen_propagator,
+                         build_ladder, choose_base_step)
 from .states import microcanonical_state, occupation_state, state_spectrum
 from .partition import build_partition, entanglement_entropy, reduced_density
 from .correlators import (WINDOW_KINDS, CorrelatorSpectrum,
@@ -472,22 +472,32 @@ def _params(cfg: dict) -> HamiltonianParams:
     return HamiltonianParams(**cfg["model"])
 
 
-def _load_eigensystem(outdir: Path, basis) -> EigenSystem:
+def _load_eigensystem(cfg: dict, outdir: Path, basis) -> EigenSystem:
+    """The build-spectrum artifacts, refused unless max|HV - VE| is small for
+    the configured H (applied through its sparse terms)."""
     energies = read_csv(_artifact(outdir, "spectrum.csv",
                                   "build-spectrum"))["E_over_J"]
     vectors = np.load(_artifact(outdir, "eigenvectors.npy", "build-spectrum"))
-    if vectors.shape != (basis.dim, energies.size):
-        raise ConfigError(
-            "spectrum artifacts do not match the configured model; rerun "
-            "the build-spectrum stage")
-    return EigenSystem(basis, energies, vectors)
+    if vectors.shape == (basis.dim, energies.size):
+        d, pairs = _hamiltonian_terms(_params(cfg), basis)
+        residual = d[:, None] * vectors - vectors * energies
+        for c, k in pairs:
+            residual += c * (k.T @ (k @ vectors))
+        if np.abs(residual).max() <= 1e-8 * max(1.0, np.abs(energies).max()):
+            return EigenSystem(basis, energies, vectors)
+    raise ConfigError(
+        "spectrum artifacts do not match the configured model; rerun the "
+        "build-spectrum stage")
 
 
-def _initial_state(cfg: dict, outdir: Path, basis) -> StateVector:
+def _initial_state(cfg: dict, outdir: Path, basis,
+                   eig: EigenSystem | None = None) -> StateVector:
+    """The configured state; microcanonical ones use eig or the artifacts."""
     block = cfg["initial_state"]
     if block["kind"] == "occupation":
         return occupation_state(basis, block["occupation"])
-    eig = _load_eigensystem(outdir, basis)
+    if eig is None:
+        eig = _load_eigensystem(cfg, outdir, basis)
     seed = cfg["seed"] if block["random_phases"] else None
     return microcanonical_state(eig, block["window"][0], block["window"][1],
                                 phase_seed=seed)
@@ -553,12 +563,14 @@ def _stage_evolve(cfg: dict, outdir: Path):
             taylor_order=prop["taylor_order"], branching=prop["branching"],
             max_rung_bytes=_rung_cap(basis.dim))
         ladder = build_eigen_propagator(op, pcfg)
-    psi0 = _initial_state(cfg, outdir, basis)
-
-    outputs = []
+    eig = None
     if (outdir / "spectrum.csv").exists() and \
             (outdir / "eigenvectors.npy").exists():
-        eig = _load_eigensystem(outdir, basis)
+        eig = _load_eigensystem(cfg, outdir, basis)
+    psi0 = _initial_state(cfg, outdir, basis, eig)
+
+    outputs = []
+    if eig is not None:
         summary = state_spectrum(eig, psi0)
         _write_json(outdir / "initial_state.json", {
             "kind": cfg["initial_state"]["kind"],
@@ -568,46 +580,16 @@ def _stage_evolve(cfg: dict, outdir: Path):
         })
         outputs.append("initial_state.json")
 
-    pm = None
-    if "entropy" in meas["observables"]:
-        pm = build_partition(basis, meas["system_modes"])
-
-    amps = psi0.amplitudes.copy()
-    steps_done = 0
-    snapped = np.empty(times.size)
-    entropies = np.empty(times.size)
-    occupations = np.empty((times.size, basis.num_modes))
-    norms = np.empty(times.size)
-    energies_t = np.empty(times.size)
-    for k, t in enumerate(times):
-        m, actual = ladder.snap(t)
-        amps = ladder.advance(amps, m - steps_done)
-        steps_done = m
-        snapped[k] = actual
-        weights = np.abs(amps) ** 2
-        occupations[k] = weights @ basis.states
-        norms[k] = np.linalg.norm(amps)
-        state = StateVector(basis, amps)
-        energies_t[k] = op.expectation(state).real
-        if pm is not None:
-            entropies[k] = entanglement_entropy(reduced_density(state, pm))
-
-    if pm is not None:
-        bound = np.full(times.size, pm.max_entropy)
-        write_csv(outdir / "entropy.csv", ["Jt", "entropy", "entropy_bound"],
-                  [snapped, entropies, bound])
-        outputs.append("entropy.csv")
-    if "occupations" in meas["observables"]:
-        names = ["Jt"] + [f"n_{m}" for m in range(basis.num_modes)]
-        columns = [snapped] + [occupations[:, m]
-                               for m in range(basis.num_modes)]
-        if meas["system_modes"]:
-            names.append("n_system")
-            columns.append(occupations[:, meas["system_modes"]].sum(axis=1))
-        write_csv(outdir / "occupations.csv", names, columns)
-        outputs.append("occupations.csv")
-
-    e_scale = max(1.0, abs(energies_t[0]))
+    steps, snapped = map(np.array, zip(*map(ladder.snap, times)))
+    states = advance_columns(
+        ladder, np.broadcast_to(psi0.amplitudes[:, None],
+                                (basis.dim, times.size)), steps)
+    occupations = (np.abs(states) ** 2).T @ basis.states
+    norms = np.linalg.norm(states, axis=0)
+    h_states = op.matrix @ states
+    # Re <psi|H|psi> from views, without a conjugated copy of the block
+    energies_t = (np.einsum("dk,dk->k", states.real, h_states.real)
+                  + np.einsum("dk,dk->k", states.imag, h_states.imag))
     diag = {
         "dimension": basis.dim,
         "base_step": pcfg.base_step,
@@ -615,10 +597,24 @@ def _stage_evolve(cfg: dict, outdir: Path):
         "snap_defect": float(np.abs(times - snapped).max()),
         "norm_drift": float(np.abs(norms - 1.0).max()),
         "energy_drift": float(np.abs(energies_t - energies_t[0]).max()
-                              / e_scale),
+                              / max(1.0, abs(energies_t[0]))),
     }
-    if pm is not None:
+    if "entropy" in meas["observables"]:
+        pm = build_partition(basis, meas["system_modes"])
+        entropies = [entanglement_entropy(reduced_density(
+            StateVector(basis, states[:, k]), pm)) for k in range(times.size)]
+        write_csv(outdir / "entropy.csv", ["Jt", "entropy", "entropy_bound"],
+                  [snapped, entropies, np.full(times.size, pm.max_entropy)])
+        outputs.append("entropy.csv")
         diag["entropy_bound"] = pm.max_entropy
+    if "occupations" in meas["observables"]:
+        names = ["Jt"] + [f"n_{m}" for m in range(basis.num_modes)]
+        columns = [snapped, *occupations.T]
+        if meas["system_modes"]:
+            names.append("n_system")
+            columns.append(occupations[:, meas["system_modes"]].sum(axis=1))
+        write_csv(outdir / "occupations.csv", names, columns)
+        outputs.append("occupations.csv")
     return outputs, diag
 
 
@@ -879,8 +875,9 @@ def _stage_thermometry(cfg: dict, outdir: Path):
 
 
 def _stage_chaos(cfg: dict, outdir: Path):
-    energies = read_csv(_artifact(outdir, "spectrum.csv",
-                                  "build-spectrum"))["E_over_J"]
+    model = cfg["model"]
+    basis = enumerate_basis(model["num_modes"], model["num_particles"])
+    energies = _load_eigensystem(cfg, outdir, basis).energies
     window = cfg["chaos"]["window"]
     report = r_ratio(energies, None if window is None else tuple(window))
     payload = {"mean_ratio": report.mean_ratio,

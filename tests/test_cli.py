@@ -205,3 +205,29 @@ def test_stage_command_checks_the_stage_it_runs(tmp_path, capsys):
     }
     assert main(["greens", write_config(tmp_path / "vacuum.json", cfg)]) == 2
     assert "num_particles" in capsys.readouterr().err
+
+
+def test_evolve_refuses_spectrum_artifacts_of_other_couplings(tmp_path,
+                                                              capsys):
+    cfg = {
+        "model": {"num_modes": 3, "num_particles": 4, "u_inter": 0.1},
+        "initial_state": {"kind": "microcanonical", "window": [5.0, 25.0]},
+        "measurement": {"observables": ["occupations"],
+                        "times": {"start": 0.0, "stop": 6.0, "count": 25}},
+        "stages": ["build-spectrum", "evolve"],
+        "output_dir": str(tmp_path / "out"),
+    }
+    config = write_config(tmp_path / "fresh.json", cfg)
+    assert main(["build-spectrum", config]) == 0
+    assert main(["evolve", config]) == 0
+    # same sector dimension, other eigenpairs
+    cfg["model"]["u_inter"] = 2.0
+    stale = write_config(tmp_path / "stale.json", cfg)
+    assert main(["evolve", stale]) == 2
+    assert main(["chaos", stale]) == 2
+    err = capsys.readouterr().err
+    assert err.count("spectrum artifacts do not match") == 2
+    assert main(["build-spectrum", stale]) == 0
+    assert main(["evolve", stale]) == 0
+    state = json.loads((tmp_path / "out" / "initial_state.json").read_text())
+    assert state["level_count"] == 2

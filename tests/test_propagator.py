@@ -173,6 +173,27 @@ def test_advance_columns_matches_per_column_advance():
     assert np.abs(walked[:, 0] - block[:, 0]).max() == 0.0
 
 
+def test_advance_columns_walks_a_block_wider_than_the_sector():
+    # dim 6 and 23 columns: the block is walked six columns at a time
+    op = model_op(3, 2)
+    cfg = choose_base_step(op, horizon=20.0)
+    rng = np.random.default_rng(24)
+    steps = rng.integers(-cfg.max_steps, cfg.max_steps + 1, size=23)
+    steps[:3] = [cfg.max_steps, -cfg.max_steps, 0]
+    assert (steps > 0).any() and (steps < 0).any()
+    block = (rng.normal(size=(op.basis.dim, steps.size))
+             + 1j * rng.normal(size=(op.basis.dim, steps.size)))
+    # one read-only state broadcast over the columns, as the time grids walk
+    shared = np.broadcast_to(block[:, :1], block.shape)
+    for prop in (build_ladder(op, cfg), build_eigen_propagator(op, cfg)):
+        for cols in (block, shared):
+            walked = advance_columns(prop, cols, steps)
+            assert walked.shape == cols.shape
+            for col, count in enumerate(steps):
+                alone = prop.advance(cols[:, col], count)
+                assert np.abs(walked[:, col] - alone).max() < 1e-12
+
+
 def test_advance_columns_rejects_bad_steps():
     rng = np.random.default_rng(16)
     op = random_hermitian_op(10, rng)

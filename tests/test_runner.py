@@ -7,13 +7,16 @@ import numpy as np
 import pytest
 
 from bosetherm import (ConfigError, EmptyWindowError, HamiltonianParams,
-                       PropagatorConfig, SectorLadders, build_hamiltonian,
-                       build_ladder, build_sector_ladders, choose_base_step,
-                       diagonalize, fit_bose_einstein, occupation_state,
-                       read_csv, resolve_times, run,
-                       single_particle_correlators, tau_grid, to_energy,
-                       validate_config, write_csv)
+                       PropagatorConfig, SectorLadders, StateVector,
+                       build_hamiltonian, build_ladder, build_partition,
+                       build_sector_ladders, choose_base_step, diagonalize,
+                       entanglement_entropy, fit_bose_einstein,
+                       occupation_state, read_csv, reduced_density,
+                       resolve_times, run, single_particle_correlators,
+                       tau_grid, to_energy, validate_config, write_csv)
 from bosetherm.runner import STAGES
+
+import oracles
 
 
 def rabi_config(outdir) -> dict:
@@ -396,6 +399,33 @@ def test_evolve_stage_picks_its_propagator_by_base_step(tmp_path,
     manifest = run(cfg)
     assert built == ["build_ladder"]
     assert manifest["stages"]["evolve"]["diagnostics"]["base_step"] == 0.001
+
+
+@pytest.mark.parametrize("propagation, tol", [({}, 1e-12),
+                                               ({"base_step": 2e-4}, 1e-6)])
+def test_evolve_stage_matches_exact_evolution_at_the_snapped_times(
+        tmp_path, propagation, tol):
+    # 25 times in a sector of dimension 6: the time block is wider than dim
+    cfg = small_quench_config(tmp_path / "out")
+    cfg["measurement"]["times"] = {"start": 0.0, "stop": 40.0, "count": 25}
+    cfg["propagation"] = propagation
+    cfg["stages"] = ["evolve"]
+    run(cfg)
+    params = HamiltonianParams(3, 2, 10.0, 1.0, 1.0, 0.1)
+    eig = diagonalize(build_hamiltonian(params))
+    basis = eig.basis
+    psi0 = occupation_state(basis, [2, 0, 0]).amplitudes
+    occupations = read_csv(tmp_path / "out" / "occupations.csv")
+    entropy = read_csv(tmp_path / "out" / "entropy.csv")
+    assert occupations["Jt"].size == 25 > basis.dim
+    pm = build_partition(basis, [1, 2])
+    for k, t in enumerate(occupations["Jt"]):
+        amps = oracles.exact_evolve(eig.energies, eig.vectors, psi0, t)
+        want = np.abs(amps) ** 2 @ basis.states
+        got = [occupations[f"n_{m}"][k] for m in range(3)]
+        assert np.abs(got - want).max() < tol
+        rdm = reduced_density(StateVector(basis, amps), pm)
+        assert abs(entropy["entropy"][k] - entanglement_entropy(rdm)) < tol
 
 
 @pytest.mark.parametrize("levels, seeds, flagged", [
