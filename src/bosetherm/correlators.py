@@ -49,13 +49,20 @@ SERIES_KINDS = ("lesser", "greater", "keldysh", "spectral",
 WINDOW_KINDS = ("hann", "rect")
 
 
+def _whole_multiple(interval: float, step: float) -> int:
+    """interval / step if a whole number >= 1 to 1e-9 of interval, else 0."""
+    count = int(round(interval / step))
+    whole = count >= 1 and abs(count * step - interval) <= 1e-9 * interval
+    return count if whole else 0
+
+
 def tau_grid(tau_max: float, tau_step: float) -> np.ndarray:
     """Symmetric grid -tau_max..tau_max inclusive; tau_max must be a
     multiple of tau_step."""
     if tau_step <= 0 or tau_max <= 0:
         raise ValueError("tau_max and tau_step must be positive")
-    count = int(round(tau_max / tau_step))
-    if count < 1 or abs(count * tau_step - tau_max) > 1e-9 * tau_max:
+    count = _whole_multiple(tau_max, tau_step)
+    if not count:
         raise GridMismatchError(
             f"tau_max {tau_max} is not a multiple of tau_step {tau_step}")
     return tau_step * np.arange(-count, count + 1)
@@ -205,8 +212,8 @@ def _trajectory(ladder: Propagator, psi0: StateVector, com_time: float,
     if psi0.basis is not ladder.basis:
         raise SectorMismatchError("initial state is not in the center sector")
     half = _validate_tau(tau) / 2.0
-    q2 = int(round(half / ladder.base_step))
-    if q2 < 1 or abs(q2 * ladder.base_step - half) > 1e-9 * half:
+    q2 = _whole_multiple(half, ladder.base_step)
+    if not q2:
         raise GridMismatchError(
             f"half tau step {half:.6e} is not a multiple of the ladder base "
             f"step {ladder.base_step:.6e}")

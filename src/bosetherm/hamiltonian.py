@@ -148,16 +148,22 @@ def build_hamiltonian(params: HamiltonianParams,
     return SectorOperator(basis, h)
 
 
+def _apply_terms(params: HamiltonianParams, basis: FockBasis,
+                 block: np.ndarray) -> np.ndarray:
+    """H @ block through the sparse terms, for a vector or a column block."""
+    d, pairs = _hamiltonian_terms(params, basis)
+    out = (d if block.ndim == 1 else d[:, None]) * block
+    for c, k in pairs:
+        out += c * (k.T @ (k @ block))
+    return out
+
+
 def apply_hamiltonian(params: HamiltonianParams, state: StateVector) -> StateVector:
     """H |state> without building the dense matrix."""
     if state.basis.num_modes != params.num_modes:
         raise ValueError("state mode count does not match params")
-    d, pairs = _hamiltonian_terms(params, state.basis)
-    psi = state.amplitudes
-    out = d * psi
-    for c, k in pairs:
-        out += c * (k.T @ (k @ psi))
-    return StateVector(state.basis, out)
+    return StateVector(state.basis,
+                       _apply_terms(params, state.basis, state.amplitudes))
 
 
 @dataclass

@@ -14,7 +14,8 @@ holds wall-clock timings.
 Stage order and artifacts:
 
     build-spectrum  spectrum.csv, eigenvectors.npy
-    evolve          entropy.csv, occupations.csv, initial_state.json
+    evolve          entropy.csv, occupations.csv, and initial_state.json
+                    when the build-spectrum artifacts exist
     greens          green_*.csv, trace_*.csv, density_*.csv, greens_index.json
     thermometry     thermometry.json
     chaos           chaos.json
@@ -43,17 +44,16 @@ from . import __version__
 from .errors import ConfigError, NumericsError
 from .fock import DIM_CAP, StateVector, enumerate_basis, sector_dimension
 from .hamiltonian import (GOE_MEAN_R, POISSON_MEAN_R, EigenSystem,
-                          HamiltonianParams, _hamiltonian_terms,
+                          HamiltonianParams, _apply_terms, _hamiltonian_terms,
                           build_hamiltonian, diagonalize, r_ratio)
-from .propagator import (PropagatorConfig, _depth_for_horizon,
-                         advance_columns, build_eigen_propagator,
-                         build_ladder, choose_base_step)
+from .propagator import PropagatorConfig, _depth_for_horizon, advance_columns
 from .states import microcanonical_state, occupation_state, state_spectrum
 from .partition import build_partition, entanglement_entropy, reduced_density
-from .correlators import (WINDOW_KINDS, CorrelatorSpectrum,
-                          build_sector_ladders, density_correlators,
-                          keldysh_and_spectral, single_particle_correlator_set,
-                          tau_grid, to_energy, trace_levels)
+from .correlators import (WINDOW_KINDS, CorrelatorSpectrum, SectorLadders,
+                          _whole_multiple, build_sector_ladders,
+                          density_correlators, keldysh_and_spectral,
+                          single_particle_correlator_set, tau_grid, to_energy,
+                          trace_levels)
 from .thermofit import (fit_biexponential, fit_bose_einstein, fit_lorentzians,
                         occupation_from_fdt, plateau_stats,
                         temperature_timeline)
@@ -333,8 +333,7 @@ def validate_config(raw: dict, stages=None) -> dict:
     meas = _read_block(raw.get("measurement", {}), _MEASUREMENT, "measurement",
                        model)
     tau_max, tau_step = meas["tau_max"], meas["tau_step"]
-    ratio = tau_max / tau_step
-    _require(abs(ratio - round(ratio)) < 1e-9,
+    _require(_whole_multiple(tau_max, tau_step),
              "measurement.tau_max must be a multiple of tau_step")
     grid = meas["energy_grid"]
     _require(grid["stop"] > grid["start"],
@@ -381,6 +380,10 @@ def validate_config(raw: dict, stages=None) -> dict:
                  "the greens stage needs green_pairs or density_pairs")
         _require(not meas["green_pairs"] or num_particles >= 1,
                  "measurement.green_pairs needs model.num_particles >= 1")
+        _require(prop["base_step"] == "auto"
+                 or _whole_multiple(tau_step / 2.0, prop["base_step"]),
+                 "propagation.base_step must divide measurement.tau_step / 2 "
+                 "for the greens stage")
     if "thermometry" in active and meas["density_pairs"]:
         _require(fits["fdt_window"] is not None,
                  "detailed-balance thermometry needs fits.fdt_window")
@@ -479,10 +482,8 @@ def _load_eigensystem(cfg: dict, outdir: Path, basis) -> EigenSystem:
                                   "build-spectrum"))["E_over_J"]
     vectors = np.load(_artifact(outdir, "eigenvectors.npy", "build-spectrum"))
     if vectors.shape == (basis.dim, energies.size):
-        d, pairs = _hamiltonian_terms(_params(cfg), basis)
-        residual = d[:, None] * vectors - vectors * energies
-        for c, k in pairs:
-            residual += c * (k.T @ (k @ vectors))
+        residual = (_apply_terms(_params(cfg), basis, vectors)
+                    - vectors * energies)
         if np.abs(residual).max() <= 1e-8 * max(1.0, np.abs(energies).max()):
             return EigenSystem(basis, energies, vectors)
     raise ConfigError(
@@ -503,26 +504,36 @@ def _initial_state(cfg: dict, outdir: Path, basis,
                                 phase_seed=seed)
 
 
-def _rung_cap(dim: int) -> int:
-    # validated models passed the sector-dimension cap, so size the rung
-    # guard to the model instead of refusing large sectors outright
-    return max(2 ** 31, 16 * dim * dim)
+def _sector_ladders(cfg: dict, horizon: float, neighbors: bool,
+                    tau_step: float | None = None) -> SectorLadders:
+    """The propagation block as one build_sector_ladders call.
 
-
-def _fixed_step_config(cfg: dict, horizon: float,
-                       dim: int) -> PropagatorConfig | None:
-    """The ladder shape of a numeric base_step; None for an automatic one."""
+    propagation.horizon can only widen the stage's own horizon. A numeric
+    base_step becomes a fixed ladder shape whose depth, unless given, is
+    the smallest that spans the horizon.
+    """
+    params = _params(cfg)
     prop = cfg["propagation"]
-    if prop["base_step"] == "auto":
-        return None
-    depth = prop["depth"]
-    if depth is None:
-        depth = _depth_for_horizon(prop["base_step"], prop["branching"],
-                                   horizon)
-    return PropagatorConfig(base_step=prop["base_step"], depth=depth,
-                            taylor_order=prop["taylor_order"],
-                            branching=prop["branching"],
-                            max_rung_bytes=_rung_cap(dim))
+    if prop["horizon"]:
+        horizon = max(horizon, prop["horizon"])
+    top = params.num_particles + 1 if neighbors else params.num_particles
+    dim = sector_dimension(params.num_modes, top)
+    # validated models passed the sector-dimension cap, so size the rung
+    # guard to the largest sector instead of refusing large sectors outright
+    shape = {"taylor_order": prop["taylor_order"],
+             "branching": prop["branching"],
+             "max_rung_bytes": max(2 ** 31, 16 * dim * dim)}
+    config = None
+    if prop["base_step"] != "auto":
+        depth = prop["depth"]
+        if depth is None:
+            depth = _depth_for_horizon(prop["base_step"], prop["branching"],
+                                       horizon)
+        config = PropagatorConfig(base_step=prop["base_step"], depth=depth,
+                                  **shape)
+    return build_sector_ladders(params, horizon, tau_step=tau_step,
+                                target_error=prop["target_error"],
+                                neighbors=neighbors, config=config, **shape)
 
 
 # ---------------------------------------------------------------------------
@@ -543,26 +554,11 @@ def _stage_build_spectrum(cfg: dict, outdir: Path):
 
 
 def _stage_evolve(cfg: dict, outdir: Path):
-    params = _params(cfg)
-    op = build_hamiltonian(params)
-    basis = op.basis
     meas = cfg["measurement"]
     times = resolve_times(meas["times"])
-    prop = cfg["propagation"]
-    horizon = max(float(np.abs(times).max()), 1e-9)
-    if prop["horizon"]:
-        horizon = max(horizon, prop["horizon"])
-    # a numeric base_step runs the Taylor ladder; the automatic one only
-    # picks the time lattice, on which the eigenbasis evolution is exact
-    pcfg = _fixed_step_config(cfg, horizon, basis.dim)
-    if pcfg is not None:
-        ladder = build_ladder(op, pcfg)
-    else:
-        pcfg = choose_base_step(
-            op, horizon, target_error=prop["target_error"],
-            taylor_order=prop["taylor_order"], branching=prop["branching"],
-            max_rung_bytes=_rung_cap(basis.dim))
-        ladder = build_eigen_propagator(op, pcfg)
+    ladder = _sector_ladders(cfg, max(float(np.abs(times).max()), 1e-9),
+                             neighbors=False).center
+    basis = ladder.basis
     eig = None
     if (outdir / "spectrum.csv").exists() and \
             (outdir / "eigenvectors.npy").exists():
@@ -584,16 +580,18 @@ def _stage_evolve(cfg: dict, outdir: Path):
     states = advance_columns(
         ladder, np.broadcast_to(psi0.amplitudes[:, None],
                                 (basis.dim, times.size)), steps)
-    occupations = (np.abs(states) ** 2).T @ basis.states
+    weights = np.abs(states) ** 2
+    occupations = weights.T @ basis.states
     norms = np.linalg.norm(states, axis=0)
-    h_states = op.matrix @ states
-    # Re <psi|H|psi> from views, without a conjugated copy of the block
-    energies_t = (np.einsum("dk,dk->k", states.real, h_states.real)
-                  + np.einsum("dk,dk->k", states.imag, h_states.imag))
+    # <psi|H|psi> = sum d |psi|^2 + sum c |K psi|^2 over the sparse terms
+    d, pairs = _hamiltonian_terms(_params(cfg), basis)
+    energies_t = d @ weights
+    for c, k in pairs:
+        energies_t += c * (np.abs(k @ states) ** 2).sum(axis=0)
     diag = {
         "dimension": basis.dim,
-        "base_step": pcfg.base_step,
-        "depth": pcfg.depth,
+        "base_step": ladder.base_step,
+        "depth": ladder.config.depth,
         "snap_defect": float(np.abs(times - snapped).max()),
         "norm_drift": float(np.abs(norms - 1.0).max()),
         "energy_drift": float(np.abs(energies_t - energies_t[0]).max()
@@ -619,7 +617,6 @@ def _stage_evolve(cfg: dict, outdir: Path):
 
 
 def _stage_greens(cfg: dict, outdir: Path):
-    params = _params(cfg)
     meas = cfg["measurement"]
     tau = tau_grid(meas["tau_max"], meas["tau_step"])
     grid = meas["energy_grid"]
@@ -633,20 +630,8 @@ def _stage_greens(cfg: dict, outdir: Path):
     # full tau_max from it, so the ladder must span both
     horizon = max(max(abs(t) for t in com_times) + meas["tau_max"] / 2.0,
                   meas["tau_max"]) + meas["tau_step"]
-    prop = cfg["propagation"]
-    if prop["horizon"]:
-        horizon = max(horizon, prop["horizon"])
-    neighbors = bool(green_pairs)
-    top = params.num_particles + 1 if neighbors else params.num_particles
-    dim = sector_dimension(params.num_modes, top)
-    ladders = build_sector_ladders(params, horizon,
-                                   tau_step=meas["tau_step"],
-                                   target_error=prop["target_error"],
-                                   neighbors=neighbors,
-                                   config=_fixed_step_config(cfg, horizon, dim),
-                                   taylor_order=prop["taylor_order"],
-                                   branching=prop["branching"],
-                                   max_rung_bytes=_rung_cap(dim))
+    ladders = _sector_ladders(cfg, horizon, neighbors=bool(green_pairs),
+                              tau_step=meas["tau_step"])
     psi0 = _initial_state(cfg, outdir, ladders.center.basis)
 
     outputs = []

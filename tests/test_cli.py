@@ -185,6 +185,17 @@ def test_depth_without_fixed_step_exits_two(tmp_path, capsys):
     assert "propagation.depth" in capsys.readouterr().err
 
 
+def test_greens_base_step_off_the_tau_lattice_exits_two(tmp_path, capsys):
+    # half the tau step, 0.05, is no whole number of base steps; the config
+    # is refused before any ladder is built
+    cfg = rabi_config(tmp_path / "out")
+    cfg["propagation"] = {"base_step": 0.0015}
+    config = write_config(tmp_path / "off.json", cfg)
+    assert main(["greens", config, "--time", "1.0"]) == 2
+    assert "propagation.base_step" in capsys.readouterr().err
+    assert not list((tmp_path / "out").glob("green_*.csv"))
+
+
 def test_greens_walks_beyond_the_centre_time_horizon(tmp_path):
     # max|t| + tau_max/2 falls short of tau_max, the span of the sector walks
     cfg = rabi_config(tmp_path / "out")

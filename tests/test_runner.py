@@ -86,6 +86,11 @@ def test_validate_config_applies_defaults(tmp_path):
                                 "spacing": "cubic"}}}, "spacing"),
     ({"model": {"num_modes": 3, "num_particles": 2, "hopping": 10 ** 400}},
      "hopping"),
+    # half the tau step, 0.05, is no whole number of base steps
+    ({"stages": ["greens"], "propagation": {"base_step": 0.00015},
+      "initial_state": {"kind": "occupation", "occupation": [2, 0, 0]},
+      "measurement": {"com_times": [1.0], "tau_step": 0.1}},
+     "propagation.base_step"),
 ])
 def test_validate_config_rejects(tmp_path, patch, fragment):
     raw = {"model": {"num_modes": 3, "num_particles": 2},
@@ -370,12 +375,12 @@ def test_greens_stage_with_fixed_step_matches_direct_ladders(tmp_path):
 
 def test_evolve_stage_picks_its_propagator_by_base_step(tmp_path,
                                                         monkeypatch):
-    import bosetherm.runner as runner
+    import bosetherm.correlators as correlators
 
     built = []
     for name in ("build_ladder", "build_eigen_propagator"):
-        real = getattr(runner, name)
-        monkeypatch.setattr(runner, name, lambda op, cfg, real=real,
+        real = getattr(correlators, name)
+        monkeypatch.setattr(correlators, name, lambda op, cfg, real=real,
                             name=name: built.append(name) or real(op, cfg))
 
     cfg = rabi_config(tmp_path / "auto")
@@ -426,6 +431,32 @@ def test_evolve_stage_matches_exact_evolution_at_the_snapped_times(
         assert np.abs(got - want).max() < tol
         rdm = reduced_density(StateVector(basis, amps), pm)
         assert abs(entropy["entropy"][k] - entanglement_entropy(rdm)) < tol
+
+
+def test_evolve_drift_diagnostics_match_the_ladder_states(tmp_path):
+    # a Taylor ladder is unitary only up to truncation, so at this step and
+    # horizon both drifts stand well above rounding
+    cfg = small_quench_config(tmp_path / "out")
+    cfg["propagation"] = {"base_step": 2e-3}
+    cfg["stages"] = ["evolve"]
+    diag = run(cfg)["stages"]["evolve"]["diagnostics"]
+    op = build_hamiltonian(HamiltonianParams(3, 2, 10.0, 1.0, 1.0, 0.1))
+    ladder = build_ladder(op, PropagatorConfig(base_step=diag["base_step"],
+                                               depth=diag["depth"]))
+    psi0 = occupation_state(op.basis, [2, 0, 0]).amplitudes
+    jt = read_csv(tmp_path / "out" / "occupations.csv")["Jt"]
+    states = [StateVector(op.basis, ladder.advance(
+        psi0, round(t / diag["base_step"]))) for t in jt]
+    norms = np.array([np.linalg.norm(s.amplitudes) for s in states])
+    energies = np.array([op.expectation(s).real for s in states])
+    norm_drift = np.abs(norms - 1.0).max()
+    energy_drift = (np.abs(energies - energies[0]).max()
+                    / max(1.0, abs(energies[0])))
+    assert norm_drift > 1e-9 and energy_drift > 1e-9
+    # both drifts are already relative: to the unit norm and to
+    # max(1, |E(0)|)
+    assert abs(diag["norm_drift"] - norm_drift) <= 1e-12
+    assert abs(diag["energy_drift"] - energy_drift) <= 1e-12
 
 
 @pytest.mark.parametrize("levels, seeds, flagged", [
