@@ -21,7 +21,8 @@ at most dim(N) columns, which bounds the sector vectors they build at once.
 
 The energy transform follows f(E) = dtau * sum_k w(tau_k) C(tau_k)
 exp(+i E tau_k) with a Hann window by default. The series of one sweep
-share their grid, so the last grid's exp(+i E tau) kernel is kept.
+share their grid, so the last grid's exp(+i E tau) kernel is kept. The
+kernel is built and exponentiated in place, in one E x tau array.
 """
 
 from __future__ import annotations
@@ -395,6 +396,16 @@ def window_values(tau: np.ndarray, window: str) -> np.ndarray:
     return 0.5 * (1.0 + np.cos(np.pi * tau / tau_max))
 
 
+def _phase_kernel(energies: np.ndarray, tau: np.ndarray) -> np.ndarray:
+    """exp(+i E tau) over (energies, tau), bit-equal to
+    np.exp(1j * np.outer(energies, tau)) but built in one array, in place.
+    """
+    kernel = np.zeros((energies.size, tau.size), dtype=np.complex128)
+    np.multiply.outer(energies, tau, out=kernel.imag)
+    kernel.imag += 0.0  # as in 1j * x, a product of -0.0 becomes +0.0
+    return np.exp(kernel, out=kernel)
+
+
 _kernel_cache: tuple[tuple[bytes, bytes], np.ndarray] | None = None
 
 
@@ -410,7 +421,7 @@ def _energy_kernel(energies: np.ndarray, tau: np.ndarray) -> np.ndarray:
     if _kernel_cache is not None and _kernel_cache[0] == key:
         return _kernel_cache[1]
     _kernel_cache = None
-    kernel = np.exp(1j * np.outer(energies, tau))
+    kernel = _phase_kernel(energies, tau)
     kernel.flags.writeable = False
     _kernel_cache = (key, kernel)
     return kernel

@@ -6,10 +6,13 @@ table that gives every key its parser and default, then checks the rules
 that span keys; each complaint is a ConfigError naming the field. Each
 pipeline stage writes plain artifacts (CSV and JSON) into the output
 directory and records itself in manifest.json, so any stage can be rerun
-later from what is already on disk. Numeric CSV fields carry 17 significant
-digits; rerunning a stage with the same configuration and seed rewrites
-byte-identical files. The manifest itself is the one exception, since it
-holds wall-clock timings.
+later from what is already on disk: through run() with the stages named, or
+a config whose "stages" lists them. The CLI has a command for each stage
+but fit, since `bosetherm fit` is the standalone CSV fitter; the fit stage
+reruns through `bosetherm run` with "stages": ["fit"]. Numeric CSV fields
+carry 17 significant digits; rerunning a stage with the same configuration
+and seed rewrites byte-identical files. The manifest itself is the one
+exception, since it holds wall-clock timings.
 
 Stage order and artifacts:
 

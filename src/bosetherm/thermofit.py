@@ -30,7 +30,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import least_squares
 
-from .correlators import CorrelatorSpectrum, tau_grid, window_values
+from .correlators import (CorrelatorSpectrum, _phase_kernel, tau_grid,
+                          window_values)
 from .errors import FitConvergenceError, GridMismatchError, ShortSeriesError
 
 MAX_FIT_ITERATIONS = 500
@@ -200,7 +201,8 @@ def window_weight_scale(tau_max: float, tau_step: float,
     w = window_values(tau, window)
     lobe = 2.0 * np.pi / tau_max
     energies = np.linspace(-8.0 * lobe, 8.0 * lobe, 641)
-    kernel = tau_step * (np.exp(1j * np.outer(energies, tau)) @ w).real
+    # built afresh: the transform's one-slot cache keeps the spectra's kernel
+    kernel = tau_step * (_phase_kernel(energies, tau) @ w).real
     gamma0 = 0.25 * lobe
     x0 = np.array([kernel.max() * np.pi * gamma0, 0.0, np.log(gamma0)])
     best = _raw_lorentzian_fit(energies, kernel, [x0])

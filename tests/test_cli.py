@@ -1,6 +1,7 @@
 """Command-line behavior: exit codes, overrides, standalone fits."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -242,3 +243,18 @@ def test_evolve_refuses_spectrum_artifacts_of_other_couplings(tmp_path,
     assert main(["evolve", stale]) == 0
     state = json.loads((tmp_path / "out" / "initial_state.json").read_text())
     assert state["level_count"] == 2
+
+
+def test_fit_stage_reruns_alone_through_run(tmp_path):
+    cfg = json.loads(Path(__file__).with_name("small_quench.json").read_text())
+    cfg["output_dir"] = str(tmp_path / "out")
+    assert main(["run", write_config(tmp_path / "all.json", cfg)]) == 0
+    fits = tmp_path / "out" / "relaxation_fits.json"
+    fits.unlink()
+    # `bosetherm fit` is the standalone CSV fitter and does not take a config
+    config = write_config(tmp_path / "fit.json", dict(cfg, stages=["fit"]))
+    with pytest.raises(SystemExit) as exit_info:
+        main(["fit", config])
+    assert exit_info.value.code == 2
+    assert main(["run", config]) == 0
+    assert fits.exists()

@@ -5,6 +5,7 @@ import pytest
 import scipy.linalg as sla
 
 from bosetherm.correlators import (
+    WINDOW_KINDS,
     CorrelatorSpectrum,
     SectorLadders,
     TwoTimeSeries,
@@ -454,6 +455,13 @@ def test_eigen_sectors_match_ladder_sectors_at_six_particles():
                                        atol=1e-12)
 
 
+def _direct_transform(series, energies, window):
+    """The windowed transform with its kernel formed by np.exp in one go."""
+    w = window_values(series.tau, window)
+    kernel = np.exp(1j * np.outer(energies, series.tau))
+    return series.tau_step * (kernel @ (w * series.values))
+
+
 def test_to_energy_reuses_its_kernel_bit_for_bit(small_setup):
     import bosetherm.correlators as correlators
 
@@ -463,17 +471,43 @@ def test_to_energy_reuses_its_kernel_bit_for_bit(small_setup):
                                                   tau)
     grid_a = np.linspace(-4.0, 4.0, 9)
     grid_b = np.linspace(-3.0, 5.0, 17)
-
-    def direct(series, energies):
-        # the transform as written before the kernel was kept
-        w = window_values(series.tau, "hann")
-        kernel = np.exp(1j * np.outer(energies, series.tau))
-        return series.tau_step * (kernel @ (w * series.values))
-
     for series, grid in ((lesser, grid_a), (greater, grid_a),
                          (lesser, grid_b), (greater, grid_a.copy())):
         spec = to_energy(series, grid)
-        assert np.array_equal(spec.values, direct(series, grid))
+        assert np.array_equal(spec.values,
+                              _direct_transform(series, grid, "hann"))
         key, kernel = correlators._kernel_cache
         assert key == (grid.tobytes(), tau.tobytes())
         assert kernel.shape == (grid.size, tau.size)
+
+
+# K = tau_max / tau_step: 8, 7, 150 and 300 (the pipeline and thermometry
+# grids); a nudge of 3e-10 steps leaves a grid that _validate_tau accepts
+# but that is not exactly symmetric about tau = 0
+@pytest.mark.parametrize("tau_max,tau_step,nudge", [
+    (2.0, 0.25, 0.0), (1.75, 0.25, 0.0), (6.0, 0.04, 0.0), (12.0, 0.04, 0.0),
+    (2.0, 0.25, 3e-10)])
+def test_to_energy_is_bit_equal_to_the_direct_transform(tau_max, tau_step,
+                                                        nudge):
+    import bosetherm.correlators as correlators
+
+    tau = tau_grid(tau_max, tau_step)
+    tau[-1] += nudge * tau_step
+    rng = np.random.default_rng(tau.size)
+    series = TwoTimeSeries("lesser", (0, 0), 1.0, tau,
+                           rng.normal(size=tau.size)
+                           + 1j * rng.normal(size=tau.size))
+    assert np.array_equal(series.tau, -series.tau[::-1]) == (nudge == 0.0)
+    nyquist = np.pi / tau_step
+    grids = [nyquist_energy_grid(tau),
+             np.linspace(-0.5 * nyquist, 0.5 * nyquist, 9),
+             0.05 * nyquist * np.arange(-6, 11)]
+    for energies in grids:
+        assert 0.0 in energies
+        kernel = correlators._phase_kernel(energies, series.tau)
+        assert kernel.tobytes() == \
+            np.exp(1j * np.outer(energies, series.tau)).tobytes()
+        for window in WINDOW_KINDS:
+            spec = to_energy(series, energies, window)
+            assert spec.values.tobytes() == \
+                _direct_transform(series, energies, window).tobytes()

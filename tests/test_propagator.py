@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -416,3 +418,27 @@ def test_eigen_propagator_on_complex_hermitian_generator():
     psi0 = random_unit(20, rng)
     want = oracles.exact_evolve(eig.energies, eig.vectors, psi0, -0.37)
     assert np.abs(prop.advance(psi0, -37) - want).max() < 1e-12
+
+
+def test_eigen_walk_holds_at_most_two_block_sized_arrays():
+    op = model_op(5, 6)  # dim 210
+    prop = build_eigen_propagator(op, choose_base_step(op, horizon=50.0))
+    dim = op.basis.dim
+    rng = np.random.default_rng(32)
+    # a sweep repeats each count once per mode; a trajectory repeats none
+    for steps in (np.repeat(np.arange(dim // 5) * 4, 5),
+                  3 * np.arange(-dim // 2, dim // 2)):
+        block = (rng.normal(size=(dim, steps.size))
+                 + 1j * rng.normal(size=(dim, steps.size)))
+        tracemalloc.start()
+        try:
+            prop._walk_columns(block, steps)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the energy and step vectors, the two casting buffers of the
+        # complex-by-real outer product and 8 KiB for the interpreter's own
+        # objects; a third block-sized array would overshoot this by far
+        slack = (16 * dim + 8 * steps.size + 2 * 16 * np.getbufsize()
+                 + 8192)
+        assert peak <= 2 * block.nbytes + slack, (peak, block.nbytes)

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +18,9 @@ from bosetherm import (ConfigError, EmptyWindowError, HamiltonianParams,
 from bosetherm.runner import STAGES
 
 import oracles
+
+# the all-stage config that CI also runs through the console script
+SMALL_QUENCH = Path(__file__).with_name("small_quench.json")
 
 
 def rabi_config(outdir) -> dict:
@@ -35,21 +39,7 @@ def rabi_config(outdir) -> dict:
 
 def small_quench_config(outdir) -> dict:
     """Two particles on three levels, everything switched on."""
-    return {
-        "model": {"num_modes": 3, "num_particles": 2},
-        "initial_state": {"kind": "occupation", "occupation": [2, 0, 0]},
-        "measurement": {"system_modes": [1, 2],
-                        "times": {"start": 0.0, "stop": 40.0, "count": 21},
-                        "green_pairs": [[0, 0]],
-                        "density_pairs": [[0, 0]],
-                        "com_times": [2.0],
-                        "tau_max": 2.0, "tau_step": 0.1,
-                        "energy_grid": {"start": -5.0, "stop": 25.0,
-                                        "count": 121}},
-        "fits": {"peak_count": 1, "fdt_window": [3.0, 20.0]},
-        "output_dir": str(outdir),
-        "seed": 2,
-    }
+    return dict(json.loads(SMALL_QUENCH.read_text()), output_dir=str(outdir))
 
 
 def test_validate_config_applies_defaults(tmp_path):
@@ -210,6 +200,12 @@ def test_stages_rerun_from_persisted_artifacts(tmp_path):
     done = {name for name, rec in manifest["stages"].items()
             if rec["status"] == "ok"}
     assert done == set(STAGES)
+    # the fit stage alone rewrites its artifact byte for byte
+    fits = tmp_path / "out" / "relaxation_fits.json"
+    written = fits.read_bytes()
+    fits.unlink()
+    run(cfg, stages=["fit"])
+    assert fits.read_bytes() == written
 
 
 def test_failed_stage_recorded_with_partial_artifacts(tmp_path):

@@ -351,3 +351,34 @@ def test_plateau_stats_basics():
         plateau_stats(np.ones(20), tail_fraction=0.2)
     with pytest.raises(ValueError):
         plateau_stats(np.ones(100), tail_fraction=1.5)
+
+
+@pytest.mark.parametrize("tau_max,tau_step", [(12.0, 0.04), (6.0, 0.04)])
+def test_window_weight_scale_is_bit_equal_and_keeps_the_transform_kernel(
+        tau_max, tau_step):
+    import bosetherm.correlators as correlators
+
+    def direct(window):
+        # the scale with its kernel formed by np.exp in one go
+        tau = tau_grid(tau_max, tau_step)
+        w = correlators.window_values(tau, window)
+        lobe = 2.0 * np.pi / tau_max
+        energies = np.linspace(-8.0 * lobe, 8.0 * lobe, 641)
+        kernel = tau_step * (np.exp(1j * np.outer(energies, tau)) @ w).real
+        gamma0 = 0.25 * lobe
+        x0 = np.array([kernel.max() * np.pi * gamma0, 0.0, np.log(gamma0)])
+        return float(thermofit._raw_lorentzian_fit(energies, kernel,
+                                                   [x0]).x[0])
+
+    tau = tau_grid(tau_max, tau_step)
+    series = TwoTimeSeries("lesser", (0, 0), 1.0, tau,
+                           np.exp(-1j * 3.0 * tau))
+    to_energy(series, np.linspace(-10.0, 10.0, 41))
+    held = correlators._kernel_cache
+    window_weight_scale.cache_clear()
+    for window in ("hann", "rect"):
+        scale = window_weight_scale(tau_max, tau_step, window)
+        assert np.float64(scale).tobytes() == \
+            np.float64(direct(window)).tobytes()
+    # the one-slot transform cache still holds the spectra's kernel
+    assert correlators._kernel_cache is held
