@@ -92,23 +92,17 @@ def _fit_command(args) -> dict:
     if args.model == "bose":
         sigmas = cols[names[2]] if len(names) > 2 else None
         fit = fit_bose_einstein(cols[names[0]], cols[names[1]], sigmas)
-        payload = asdict(fit)
-        payload["model"] = "bose"
-        return _jsonify(payload)
-
-    if args.window is None:
-        raise ConfigError("the fdt model needs --window LO HI")
-    if len(names) < 3:
-        raise ConfigError(f"{path} needs columns E, forward, reversed")
-    energies = cols[names[0]]
-    forward = CorrelatorSpectrum("density_forward", None, 0.0, energies,
-                                 cols[names[1]], "rect")
-    reverse = CorrelatorSpectrum("density_reversed", None, 0.0, energies,
-                                 cols[names[2]], "rect")
-    fit = fit_fdt_beta(forward, reverse, tuple(args.window))
-    payload = asdict(fit)
-    payload["model"] = "fdt"
-    return _jsonify(payload)
+    else:
+        if args.window is None:
+            raise ConfigError("the fdt model needs --window LO HI")
+        if len(names) < 3:
+            raise ConfigError(f"{path} needs columns E, forward, reversed")
+        forward, reverse = (CorrelatorSpectrum(
+            kind, None, 0.0, cols[names[0]], cols[name], "rect")
+            for kind, name in (("density_forward", names[1]),
+                               ("density_reversed", names[2])))
+        fit = fit_fdt_beta(forward, reverse, tuple(args.window))
+    return _jsonify({**asdict(fit), "model": args.model})
 
 
 def _dispatch(args) -> int:

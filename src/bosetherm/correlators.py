@@ -34,7 +34,7 @@ import numpy as np
 
 from .errors import AliasingError, GridMismatchError, SectorMismatchError
 from .fock import FockBasis, StateVector
-from .hamiltonian import build_hamiltonian
+from .hamiltonian import EigenSystem, build_hamiltonian
 from .propagator import (
     Propagator,
     PropagatorConfig,
@@ -167,15 +167,18 @@ class SectorLadders:
 def build_sector_ladders(params, horizon: float, tau_step: float | None = None,
                          target_error: float = 1e-8, neighbors: bool = True,
                          config: PropagatorConfig | None = None,
+                         center: EigenSystem | None = None,
                          **config_kwargs) -> SectorLadders:
     """Propagators for N and (optionally) N-1, N+1 with one shared base step.
 
     Without a config the step is the tightest of the per-sector choices,
     aligned to half the relative-time step when one is given, so
     mixed-sector walks stay on a single lattice, and each sector gets an
-    exact EigenPropagator on that lattice. A given config fixes the shared
-    shape instead and builds Taylor ladders; the step choice inputs
-    (tau_step, target_error, config_kwargs) are then unused.
+    exact EigenPropagator on that lattice; center, an eigensystem of the N
+    sector the caller holds, serves its propagator, so only the sectors
+    not given are diagonalized. A given config fixes the shared shape
+    instead and builds Taylor ladders; the step choice inputs (tau_step,
+    target_error, config_kwargs) and center are then unused.
     """
     counts = [params.num_particles]
     if neighbors:
@@ -193,10 +196,11 @@ def build_sector_ladders(params, horizon: float, tau_step: float | None = None,
         dt = min(c.base_step for c in cfgs)
         depth = _depth_for_horizon(dt, cfgs[0].branching, horizon)
         config = dataclasses.replace(cfgs[0], base_step=dt, depth=depth)
-        build = build_eigen_propagator
+        held = {params.num_particles: center}
+        ladders = {n: build_eigen_propagator(ops[n], config, held.get(n))
+                   for n in counts}
     else:
-        build = build_ladder
-    ladders = {n: build(ops[n], config) for n in counts}
+        ladders = {n: build_ladder(ops[n], config) for n in counts}
     return SectorLadders(
         center=ladders[params.num_particles],
         lower=ladders.get(params.num_particles - 1),

@@ -181,11 +181,26 @@ class EigenSystem:
         return self.vectors.conj().T @ state.amplitudes
 
 
+def _canonical_phases(columns: np.ndarray) -> np.ndarray:
+    """Per-column factors that make each column's pivot real and positive.
+
+    The pivot is the largest-magnitude component; components within a
+    relative 1e-8 of it tie, and the lowest row index wins.
+    """
+    mags = np.abs(columns)
+    peak = mags.max(axis=0)
+    pivot = np.argmax(mags >= peak * (1.0 - 1e-8), axis=0)
+    lead = columns[pivot, np.arange(columns.shape[1])]
+    return np.conj(lead) / np.abs(lead)
+
+
 def diagonalize(op: SectorOperator) -> EigenSystem:
     """Full dense diagonalization of a (checked Hermitian) operator.
 
     A real symmetric matrix (every model sector) gets float64 vectors, a
-    complex Hermitian one complex128 vectors.
+    complex Hermitian one complex128 vectors. Each vector's pivot is made
+    real and positive (_canonical_phases), so no solver sign, which can
+    change with the BLAS thread count, reaches the caller.
     """
     h = op.matrix
     try:
@@ -199,6 +214,7 @@ def diagonalize(op: SectorOperator) -> EigenSystem:
         raise NumericsError(
             f"eigensolver failed on dim={h.shape[0]} matrix "
             f"(max element {op.max_element():.3e}): {exc}") from exc
+    vectors *= _canonical_phases(vectors)
     return EigenSystem(op.basis, energies, vectors)
 
 

@@ -45,7 +45,7 @@ from .errors import (
     UnreachableTimeError,
 )
 from .fock import StateVector
-from .hamiltonian import SectorOperator, diagonalize
+from .hamiltonian import EigenSystem, SectorOperator, diagonalize
 
 MAX_STEP_FACTOR = 0.1
 
@@ -279,16 +279,20 @@ class EigenPropagator(Propagator):
         return _times(self.vectors, coeff)
 
 
-def build_eigen_propagator(op: SectorOperator,
-                           config: PropagatorConfig) -> EigenPropagator:
-    """Diagonalize once; memory use is one dense matrix of eigenvectors,
-    real for a real symmetric H. The cap is checked before diagonalizing."""
+def build_eigen_propagator(op: SectorOperator, config: PropagatorConfig,
+                           eig: EigenSystem | None = None) -> EigenPropagator:
+    """Diagonalize once, unless eig (an eigensystem of op the caller already
+    holds) is given; memory use is one dense matrix of eigenvectors, real
+    for a real symmetric H. The cap is checked first."""
     vector_bytes = 8 * op.basis.dim ** 2
     if vector_bytes > config.max_rung_bytes:
         raise CapacityError(
             f"the eigenvectors need {vector_bytes} bytes > cap "
             f"{config.max_rung_bytes}")
-    eig = diagonalize(op)
+    if eig is None:
+        eig = diagonalize(op)
+    elif eig.basis is not op.basis:
+        raise SectorMismatchError("eigensystem and operator sectors differ")
     return EigenPropagator(op.basis, config, eig.energies, eig.vectors)
 
 

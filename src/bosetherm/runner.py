@@ -10,9 +10,10 @@ later from what is already on disk: through run() with the stages named, or
 a config whose "stages" lists them. The CLI has a command for each stage
 but fit, since `bosetherm fit` is the standalone CSV fitter; the fit stage
 reruns through `bosetherm run` with "stages": ["fit"]. Numeric CSV fields
-carry 17 significant digits; rerunning a stage with the same configuration
-and seed rewrites byte-identical files. The manifest itself is the one
-exception, since it holds wall-clock timings.
+carry 17 significant digits; rerunning a stage with the same configuration,
+seed and BLAS thread count (BOSETHERM_THREADS) rewrites byte-identical
+files, all but the manifest, which holds wall-clock timings. Across thread
+counts eigenvectors.npy agrees to about 1e-12.
 
 Stage order and artifacts:
 
@@ -24,7 +25,9 @@ Stage order and artifacts:
     chaos           chaos.json
     fit             relaxation_fits.json
 
-A stage that needs a missing artifact says which stage produces it. Mode
+Evolve and greens propagate the model sector with the build-spectrum
+eigensystem whenever it is on disk, and refuse one of other couplings. A
+stage that needs a missing artifact says which stage produces it. Mode
 indices are zero-based everywhere, matching the library API.
 """
 
@@ -34,6 +37,7 @@ import contextlib
 import hashlib
 import json
 import math
+import os
 import platform
 import time
 import warnings
@@ -52,11 +56,10 @@ from .hamiltonian import (GOE_MEAN_R, POISSON_MEAN_R, EigenSystem,
 from .propagator import PropagatorConfig, _depth_for_horizon, advance_columns
 from .states import microcanonical_state, occupation_state, state_spectrum
 from .partition import build_partition, entanglement_entropy, reduced_density
-from .correlators import (WINDOW_KINDS, CorrelatorSpectrum, SectorLadders,
-                          _whole_multiple, build_sector_ladders,
-                          density_correlators, keldysh_and_spectral,
-                          single_particle_correlator_set, tau_grid, to_energy,
-                          trace_levels)
+from .correlators import (WINDOW_KINDS, CorrelatorSpectrum, _whole_multiple,
+                          build_sector_ladders, density_correlators,
+                          keldysh_and_spectral, single_particle_correlator_set,
+                          tau_grid, to_energy, trace_levels)
 from .thermofit import (fit_biexponential, fit_bose_einstein, fit_lorentzians,
                         occupation_from_fdt, plateau_stats,
                         temperature_timeline)
@@ -437,19 +440,14 @@ def read_csv(path) -> dict:
 
 def _jsonify(value):
     """Make a value JSON-serializable; non-finite floats become null."""
+    if isinstance(value, (np.ndarray, np.generic)):
+        value = value.tolist()  # Python scalars, nested lists for arrays
     if isinstance(value, dict):
         return {str(k): _jsonify(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [_jsonify(v) for v in value]
-    if isinstance(value, np.ndarray):
-        return [_jsonify(v) for v in value.tolist()]
-    if isinstance(value, (np.integer,)):
-        return int(value)
-    if isinstance(value, (np.floating, float)):
-        value = float(value)
+    if isinstance(value, float):
         return value if math.isfinite(value) else None
-    if isinstance(value, (np.bool_,)):
-        return bool(value)
     return value
 
 
@@ -478,9 +476,11 @@ def _params(cfg: dict) -> HamiltonianParams:
     return HamiltonianParams(**cfg["model"])
 
 
-def _load_eigensystem(cfg: dict, outdir: Path, basis) -> EigenSystem:
+def _load_eigensystem(cfg: dict, outdir: Path) -> EigenSystem:
     """The build-spectrum artifacts, refused unless max|HV - VE| is small for
     the configured H (applied through its sparse terms)."""
+    basis = enumerate_basis(cfg["model"]["num_modes"],
+                            cfg["model"]["num_particles"])
     energies = read_csv(_artifact(outdir, "spectrum.csv",
                                   "build-spectrum"))["E_over_J"]
     vectors = np.load(_artifact(outdir, "eigenvectors.npy", "build-spectrum"))
@@ -494,33 +494,32 @@ def _load_eigensystem(cfg: dict, outdir: Path, basis) -> EigenSystem:
         "build-spectrum stage")
 
 
-def _initial_state(cfg: dict, outdir: Path, basis,
-                   eig: EigenSystem | None = None) -> StateVector:
-    """The configured state; microcanonical ones use eig or the artifacts."""
-    block = cfg["initial_state"]
-    if block["kind"] == "occupation":
-        return occupation_state(basis, block["occupation"])
-    if eig is None:
-        eig = _load_eigensystem(cfg, outdir, basis)
-    seed = cfg["seed"] if block["random_phases"] else None
-    return microcanonical_state(eig, block["window"][0], block["window"][1],
-                                phase_seed=seed)
+def _model_sector(cfg: dict, outdir: Path, horizon: float, neighbors: bool,
+                  tau_step: float | None = None):
+    """What evolve and greens start from: (eig, ladders, psi0).
 
-
-def _sector_ladders(cfg: dict, horizon: float, neighbors: bool,
-                    tau_step: float | None = None) -> SectorLadders:
-    """The propagation block as one build_sector_ladders call.
-
-    propagation.horizon can only widen the stage's own horizon. A numeric
+    eig is the stage's one eigensystem of the model sector: the
+    build-spectrum artifacts, residual-checked, when they exist or a
+    microcanonical state needs them, else None. ladders is the propagation
+    block as one build_sector_ladders call, whose eigen propagator of the
+    model sector reuses eig, so without eig only that build diagonalizes.
+    propagation.horizon can only widen the stage's own horizon; a numeric
     base_step becomes a fixed ladder shape whose depth, unless given, is
-    the smallest that spans the horizon.
+    the smallest that spans the horizon. psi0 is the configured state; a
+    microcanonical one is the window state of eig.
     """
+    block = cfg["initial_state"]
+    eig = None
+    if block["kind"] == "microcanonical" or all(
+            (outdir / name).exists()
+            for name in ("spectrum.csv", "eigenvectors.npy")):
+        eig = _load_eigensystem(cfg, outdir)
     params = _params(cfg)
     prop = cfg["propagation"]
     if prop["horizon"]:
         horizon = max(horizon, prop["horizon"])
-    top = params.num_particles + 1 if neighbors else params.num_particles
-    dim = sector_dimension(params.num_modes, top)
+    dim = sector_dimension(params.num_modes,
+                           params.num_particles + int(neighbors))
     # validated models passed the sector-dimension cap, so size the rung
     # guard to the largest sector instead of refusing large sectors outright
     shape = {"taylor_order": prop["taylor_order"],
@@ -534,9 +533,16 @@ def _sector_ladders(cfg: dict, horizon: float, neighbors: bool,
                                        horizon)
         config = PropagatorConfig(base_step=prop["base_step"], depth=depth,
                                   **shape)
-    return build_sector_ladders(params, horizon, tau_step=tau_step,
-                                target_error=prop["target_error"],
-                                neighbors=neighbors, config=config, **shape)
+    ladders = build_sector_ladders(params, horizon, tau_step=tau_step,
+                                   target_error=prop["target_error"],
+                                   neighbors=neighbors, config=config,
+                                   center=eig, **shape)
+    if block["kind"] == "occupation":
+        psi0 = occupation_state(ladders.center.basis, block["occupation"])
+    else:
+        seed = cfg["seed"] if block["random_phases"] else None
+        psi0 = microcanonical_state(eig, *block["window"], phase_seed=seed)
+    return eig, ladders, psi0
 
 
 # ---------------------------------------------------------------------------
@@ -559,14 +565,9 @@ def _stage_build_spectrum(cfg: dict, outdir: Path):
 def _stage_evolve(cfg: dict, outdir: Path):
     meas = cfg["measurement"]
     times = resolve_times(meas["times"])
-    ladder = _sector_ladders(cfg, max(float(np.abs(times).max()), 1e-9),
-                             neighbors=False).center
-    basis = ladder.basis
-    eig = None
-    if (outdir / "spectrum.csv").exists() and \
-            (outdir / "eigenvectors.npy").exists():
-        eig = _load_eigensystem(cfg, outdir, basis)
-    psi0 = _initial_state(cfg, outdir, basis, eig)
+    eig, ladders, psi0 = _model_sector(
+        cfg, outdir, max(float(np.abs(times).max()), 1e-9), neighbors=False)
+    ladder, basis = ladders.center, psi0.basis
 
     outputs = []
     if eig is not None:
@@ -633,9 +634,9 @@ def _stage_greens(cfg: dict, outdir: Path):
     # full tau_max from it, so the ladder must span both
     horizon = max(max(abs(t) for t in com_times) + meas["tau_max"] / 2.0,
                   meas["tau_max"]) + meas["tau_step"]
-    ladders = _sector_ladders(cfg, horizon, neighbors=bool(green_pairs),
-                              tau_step=meas["tau_step"])
-    psi0 = _initial_state(cfg, outdir, ladders.center.basis)
+    _, ladders, psi0 = _model_sector(cfg, outdir, horizon,
+                                     neighbors=bool(green_pairs),
+                                     tau_step=meas["tau_step"])
 
     outputs = []
     entries = []
@@ -656,8 +657,7 @@ def _stage_greens(cfg: dict, outdir: Path):
         if green_pairs:
             series = single_particle_correlator_set(psi0, ladders,
                                                     green_pairs, t, tau)
-            diagonal_spectral = []
-            diagonal_keldysh = []
+            diagonal = {"spectral": [], "keldysh": []}
             for (i, j), (lesser, greater) in series.items():
                 com_actual = lesser.com_time
                 gk, sp = keldysh_and_spectral(lesser, greater)
@@ -666,43 +666,33 @@ def _stage_greens(cfg: dict, outdir: Path):
                                   ("keldysh", gk), ("spectral", sp)):
                     spec = to_energy(ser, energies, window=window)
                     files[kind] = dump(spec, f"green_{kind}_{i}_{j}_t{k}.csv")
-                    if i == j and kind == "spectral":
-                        diagonal_spectral.append(spec)
-                    if i == j and kind == "keldysh":
-                        diagonal_keldysh.append(spec)
+                    if i == j and kind in diagonal:
+                        diagonal[kind].append(spec)
                 entry["green_files"][f"{i},{j}"] = files
                 if i == j:
                     defect = abs(sp.at_equal_time() - 1.0)
                     equal_time_defect = max(equal_time_defect, defect)
-            if diagonal_spectral:
-                entry["trace_files"]["spectral"] = dump(
-                    trace_levels(diagonal_spectral), f"trace_spectral_t{k}.csv")
-            if diagonal_keldysh:
-                entry["trace_files"]["keldysh"] = dump(
-                    trace_levels(diagonal_keldysh), f"trace_keldysh_t{k}.csv")
+            for kind, spectra in diagonal.items():
+                if spectra:
+                    entry["trace_files"][kind] = dump(
+                        trace_levels(spectra), f"trace_{kind}_t{k}.csv")
         for (i, j) in density_pairs:
             fwd, rev = density_correlators(psi0, ladders, (i, j), t, tau)
             com_actual = fwd.com_time
             defect = float(np.abs(fwd.values - rev.values.conj()).max())
             conj_defect = max(conj_defect, defect)
             entry["density_files"][f"{i},{j}"] = {
-                "forward": dump(to_energy(fwd, energies, window=window),
-                                f"density_forward_{i}_{j}_t{k}.csv"),
-                "reversed": dump(to_energy(rev, energies, window=window),
-                                 f"density_reversed_{i}_{j}_t{k}.csv"),
-            }
+                way: dump(to_energy(ser, energies, window=window),
+                          f"density_{way}_{i}_{j}_t{k}.csv")
+                for way, ser in (("forward", fwd), ("reversed", rev))}
         entry["com_time"] = com_actual
         entries.append(entry)
 
-    index = {
-        "window": window,
-        "tau_max": meas["tau_max"],
-        "tau_step": meas["tau_step"],
-        "energy_grid": grid,
-        "green_pairs": [list(p) for p in green_pairs],
-        "density_pairs": [list(p) for p in density_pairs],
-        "entries": entries,
-    }
+    # the measurement keys the thermometry stage reads back, as validated
+    index = {key: meas[key] for key in ("window", "tau_max", "tau_step",
+                                        "energy_grid", "green_pairs",
+                                        "density_pairs")}
+    index["entries"] = entries
     _write_json(outdir / "greens_index.json", index)
     outputs.append("greens_index.json")
 
@@ -821,10 +811,9 @@ def _stage_thermometry(cfg: dict, outdir: Path):
         record: dict = {"time_index": entry["time_index"], "com_time": t}
         trace_files = entry.get("trace_files", {})
         if "spectral" in trace_files and "keldysh" in trace_files:
-            spec_a = _load_spectrum_csv(outdir, trace_files["spectral"],
-                                        "spectral", None, t, index)
-            spec_k = _load_spectrum_csv(outdir, trace_files["keldysh"],
-                                        "keldysh", None, t, index)
+            spec_a, spec_k = (_load_spectrum_csv(
+                outdir, trace_files[kind], kind, None, t, index)
+                for kind in ("spectral", "keldysh"))
             # fit i G_K, whose thermal trace is a sum of positive peaks
             spec_k.values = 1j * spec_k.values
             with _recorded_warnings(record):
@@ -844,11 +833,9 @@ def _stage_thermometry(cfg: dict, outdir: Path):
             if files is None:
                 continue
             t = entry["com_time"]
-            fwd = _load_spectrum_csv(outdir, files["forward"],
-                                     "density_forward", tuple(pair), t, index)
-            rev = _load_spectrum_csv(outdir, files["reversed"],
-                                     "density_reversed", tuple(pair), t, index)
-            spectra_pairs.append((fwd, rev))
+            spectra_pairs.append(tuple(_load_spectrum_csv(
+                outdir, files[way], f"density_{way}", tuple(pair), t, index)
+                for way in ("forward", "reversed")))
         if not spectra_pairs:
             continue
         timeline = temperature_timeline(spectra_pairs, fits["fdt_window"])
@@ -863,9 +850,7 @@ def _stage_thermometry(cfg: dict, outdir: Path):
 
 
 def _stage_chaos(cfg: dict, outdir: Path):
-    model = cfg["model"]
-    basis = enumerate_basis(model["num_modes"], model["num_particles"])
-    energies = _load_eigensystem(cfg, outdir, basis).energies
+    energies = _load_eigensystem(cfg, outdir).energies
     window = cfg["chaos"]["window"]
     report = r_ratio(energies, None if window is None else tuple(window))
     payload = {"mean_ratio": report.mean_ratio,
@@ -904,22 +889,20 @@ def _relaxation_entry(times: np.ndarray, values: np.ndarray,
 
 
 def _stage_fit(cfg: dict, outdir: Path):
-    tail_fraction = cfg["fits"]["tail_fraction"]
-    report = {}
-    epath = outdir / "entropy.csv"
-    opath = outdir / "occupations.csv"
-    if not epath.exists() and not opath.exists():
+    # (artifact, column, report key) of each relaxation trace
+    traces = [(outdir / name, column, key) for name, column, key in (
+        ("entropy.csv", "entropy", "entropy"),
+        ("occupations.csv", "n_system", "system_occupation"))
+        if (outdir / name).exists()]
+    if not traces:
         raise ConfigError("missing artifacts entropy.csv and "
                           "occupations.csv; run the evolve stage first")
-    if epath.exists():
-        cols = read_csv(epath)
-        report["entropy"] = _relaxation_entry(cols["Jt"], cols["entropy"],
-                                              tail_fraction)
-    if opath.exists():
-        cols = read_csv(opath)
-        if "n_system" in cols:
-            report["system_occupation"] = _relaxation_entry(
-                cols["Jt"], cols["n_system"], tail_fraction)
+    report = {}
+    for path, column, key in traces:
+        cols = read_csv(path)
+        if column in cols:
+            report[key] = _relaxation_entry(cols["Jt"], cols[column],
+                                            cfg["fits"]["tail_fraction"])
     _write_json(outdir / "relaxation_fits.json", report)
     diag = {name: entry.get("tau_slow") for name, entry in report.items()}
     return ["relaxation_fits.json"], diag
@@ -937,6 +920,16 @@ _STAGE_FUNCS = {
 
 # ---------------------------------------------------------------------------
 # orchestration
+
+
+def _blas() -> dict | None:
+    """Name and version of numpy's BLAS, or None where numpy cannot say
+    (show_config has no mode before numpy 1.25)."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        return {"name": blas.get("name"), "version": blas.get("version")}
+    except (TypeError, KeyError):
+        return None
 
 
 def _inventory(outdir: Path) -> dict:
@@ -985,20 +978,16 @@ def run(config, stages=None) -> dict:
         started = time.perf_counter()
         try:
             outputs, diag = _STAGE_FUNCS[name](cfg, outdir)
+            record = {"status": "ok", "outputs": outputs,
+                      "diagnostics": _jsonify(diag)}
         except Exception as exc:
-            manifest["stages"][name] = {
-                "status": "failed",
-                "error": f"{type(exc).__name__}: {exc}",
-                "seconds": round(time.perf_counter() - started, 3),
-            }
+            record = {"status": "failed",
+                      "error": f"{type(exc).__name__}: {exc}"}
             failure = exc
+        record["seconds"] = round(time.perf_counter() - started, 3)
+        manifest["stages"][name] = record
+        if failure is not None:
             break
-        manifest["stages"][name] = {
-            "status": "ok",
-            "seconds": round(time.perf_counter() - started, 3),
-            "outputs": outputs,
-            "diagnostics": _jsonify(diag),
-        }
 
     manifest["config"] = _jsonify(cfg)
     manifest["versions"] = {
@@ -1006,6 +995,11 @@ def run(config, stages=None) -> dict:
         "numpy": np.__version__,
         "scipy": scipy.__version__,
         "python": platform.python_version(),
+        "blas": _blas(),
+        # the artifacts' last digits move with the BLAS thread count
+        "threads": {var: os.environ.get(var) for var in (
+            "BOSETHERM_THREADS", "OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
+            "MKL_NUM_THREADS")},
     }
     manifest["files"] = _inventory(outdir)
     _write_json(manifest_path, manifest)

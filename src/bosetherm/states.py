@@ -8,7 +8,7 @@ import numpy as np
 
 from .errors import EmptyWindowError
 from .fock import FockBasis, StateVector
-from .hamiltonian import EigenSystem
+from .hamiltonian import EigenSystem, _canonical_phases
 
 
 def occupation_state(basis: FockBasis, occupation) -> StateVector:
@@ -18,28 +18,15 @@ def occupation_state(basis: FockBasis, occupation) -> StateVector:
     return StateVector(basis, amps)
 
 
-def _canonical_phases(columns: np.ndarray) -> np.ndarray:
-    """Per-column factors that make each column's pivot real and positive.
-
-    The pivot is the largest-magnitude component; components within a
-    relative 1e-8 of it tie, and the lowest row index wins.
-    """
-    mags = np.abs(columns)
-    peak = mags.max(axis=0)
-    pivot = np.argmax(mags >= peak * (1.0 - 1e-8), axis=0)
-    lead = columns[pivot, np.arange(columns.shape[1])]
-    return np.conj(lead) / np.abs(lead)
-
-
 def microcanonical_state(eig: EigenSystem, e_min: float, e_max: float,
                          phase_seed: int | None = None) -> StateVector:
     """Equal-weight combination of all eigenstates inside [e_min, e_max].
 
-    Each eigenvector is first rotated to a fixed sign convention: its
-    largest-magnitude component is made real and positive, ties within a
-    relative 1e-8 going to the lowest basis index. Without phase_seed every
-    component then has phase +1; with phase_seed each gets a reproducible
-    random phase on top. Either way the state is the same whatever signs or
+    Each eigenvector is first rotated so that its pivot is real and
+    positive, the convention of diagonalize (see _canonical_phases), which
+    other eigensolvers need not keep. Without phase_seed every component
+    then has phase +1; with phase_seed each gets a reproducible random
+    phase on top. Either way the state is the same whatever signs or
     phases the eigensolver picked.
     """
     if e_max < e_min:

@@ -245,6 +245,30 @@ def test_evolve_refuses_spectrum_artifacts_of_other_couplings(tmp_path,
     assert state["level_count"] == 2
 
 
+def test_greens_refuses_spectrum_artifacts_of_other_couplings(tmp_path,
+                                                              capsys):
+    # an occupation state needs no spectrum, but greens propagates the model
+    # sector with the artifacts' eigensystem, so stale ones are refused
+    cfg = {
+        "model": {"num_modes": 3, "num_particles": 4, "u_inter": 0.1},
+        "initial_state": {"kind": "occupation", "occupation": [4, 0, 0]},
+        "measurement": {"com_times": [1.0], "tau_max": 1.0, "tau_step": 0.1,
+                        "energy_grid": {"start": -10.0, "stop": 10.0,
+                                        "count": 21}},
+        "output_dir": str(tmp_path / "out"),
+    }
+    config = write_config(tmp_path / "fresh.json", cfg)
+    assert main(["build-spectrum", config]) == 0
+    cfg["model"]["u_inter"] = 2.0
+    stale = write_config(tmp_path / "stale.json", cfg)
+    assert main(["greens", stale]) == 2
+    assert "spectrum artifacts do not match" in capsys.readouterr().err
+    assert not list((tmp_path / "out").glob("green_*.csv"))
+    assert main(["build-spectrum", stale]) == 0
+    assert main(["greens", stale]) == 0
+    assert list((tmp_path / "out").glob("green_*.csv"))
+
+
 def test_fit_stage_reruns_alone_through_run(tmp_path):
     cfg = json.loads(Path(__file__).with_name("small_quench.json").read_text())
     cfg["output_dir"] = str(tmp_path / "out")

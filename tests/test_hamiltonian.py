@@ -1,4 +1,8 @@
 import dataclasses
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -114,6 +118,55 @@ def test_diagonalize_keeps_real_vectors_real():
         np.triu(np.ones_like(op.matrix.real), 1)
         - np.tril(np.ones_like(op.matrix.real), -1)))
     assert diagonalize(complex_op).vectors.dtype == np.complex128
+
+
+def _assert_pivots_real_and_positive(vectors):
+    mags = np.abs(vectors)
+    pivot = np.argmax(mags >= mags.max(axis=0) * (1.0 - 1e-8), axis=0)
+    lead = vectors[pivot, np.arange(vectors.shape[1])]
+    assert np.all(lead.real > 0.0)
+    assert np.abs(lead.imag).max() <= 1e-15 * lead.real.min()
+
+
+def test_diagonalize_makes_each_pivot_real_and_positive():
+    op = build_hamiltonian(params_for(3, 3))
+    eig = diagonalize(op)
+    _assert_pivots_real_and_positive(eig.vectors)
+    complex_op = SectorOperator(op.basis, op.matrix + 0.3j * (
+        np.triu(np.ones_like(op.matrix.real), 1)
+        - np.tril(np.ones_like(op.matrix.real), -1)))
+    eig = diagonalize(complex_op)
+    _assert_pivots_real_and_positive(eig.vectors)
+    recon = (eig.vectors * eig.energies) @ eig.vectors.conj().T
+    assert np.abs(recon - complex_op.matrix).max() < 1e-10
+
+
+_DIAGONALIZE_N6 = """
+import sys
+import numpy as np
+from bosetherm import HamiltonianParams, build_hamiltonian, diagonalize
+op = build_hamiltonian(HamiltonianParams(5, 6, 10.0, 1.0, 1.0, 0.1))
+np.save(sys.argv[1], diagonalize(op).vectors)
+"""
+
+
+def test_diagonalize_vectors_agree_across_blas_thread_counts(tmp_path):
+    import bosetherm
+
+    # the child imports the package this test imported
+    src = str(Path(bosetherm.__file__).resolve().parents[1])
+    vectors = []
+    for threads in ("1", "2"):
+        env = {k: v for k, v in os.environ.items()
+               if not k.endswith("_NUM_THREADS")}
+        env.update(BOSETHERM_THREADS=threads, PYTHONPATH=src)
+        out = tmp_path / f"vectors_{threads}.npy"
+        subprocess.run([sys.executable, "-c", _DIAGONALIZE_N6, str(out)],
+                       env=env, check=True)
+        vectors.append(np.load(out))
+    assert vectors[0].shape == (210, 210)
+    defect = float(np.abs(vectors[0] - vectors[1]).max())
+    assert defect < 1e-10
 
 
 def test_diagonalize_rejects_non_hermitian():

@@ -155,7 +155,10 @@ def test_manifest_inventory_and_versions(tmp_path):
     outdir = tmp_path / "out"
     manifest = run(small_quench_config(outdir))
     assert set(manifest["versions"]) == {"bosetherm", "numpy", "scipy",
-                                         "python"}
+                                         "python", "blas", "threads"}
+    assert set(manifest["versions"]["threads"]) == {
+        "BOSETHERM_THREADS", "OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
+        "MKL_NUM_THREADS"}
     listed = set(manifest["files"])
     on_disk = {p.name for p in outdir.iterdir() if p.name != "manifest.json"}
     assert listed == on_disk
@@ -178,6 +181,33 @@ def test_manifest_inventory_and_versions(tmp_path):
     assert greens["com_times"] == [
         round(t / greens["base_step"]) * greens["base_step"]
         for t in configured["com_times"]]
+
+
+def test_a_run_diagonalizes_each_sector_once(tmp_path, monkeypatch):
+    import sys
+
+    import bosetherm.hamiltonian as hamiltonian
+
+    # particle numbers of the sectors each function was called on
+    calls = {"diagonalize": [], "build_hamiltonian": []}
+    for name, sectors in calls.items():
+        real = getattr(hamiltonian, name)
+
+        def spy(*args, real=real, sectors=sectors, **kwargs):
+            out = real(*args, **kwargs)
+            sectors.append(out.basis.num_particles)
+            return out
+        # the module's own name and every name imported from it
+        for module in list(sys.modules.values()):
+            if getattr(module, "__name__", "").startswith("bosetherm") and \
+                    getattr(module, name, None) is real:
+                monkeypatch.setattr(module, name, spy)
+
+    run(small_quench_config(tmp_path / "out"))
+    # build-spectrum diagonalizes N; evolve and greens reuse its artifacts
+    # and greens diagonalizes N - 1 and N + 1
+    assert sorted(calls["diagonalize"]) == [1, 2, 3]
+    assert sorted(calls["build_hamiltonian"]) == [1, 2, 2, 2, 3]
 
 
 def test_missing_artifacts_name_their_stage(tmp_path):
@@ -376,8 +406,9 @@ def test_evolve_stage_picks_its_propagator_by_base_step(tmp_path,
     built = []
     for name in ("build_ladder", "build_eigen_propagator"):
         real = getattr(correlators, name)
-        monkeypatch.setattr(correlators, name, lambda op, cfg, real=real,
-                            name=name: built.append(name) or real(op, cfg))
+        monkeypatch.setattr(correlators, name, lambda op, cfg, *held,
+                            real=real, name=name:
+                            built.append(name) or real(op, cfg, *held))
 
     cfg = rabi_config(tmp_path / "auto")
     cfg["stages"] = ["build-spectrum", "evolve"]
