@@ -163,6 +163,12 @@ class SectorLadders:
                 raise GridMismatchError(
                     "sector ladders must share one base step")
 
+    @property
+    def nbytes(self) -> int:
+        """Bytes held by the sectors' propagators."""
+        return sum(lad.nbytes for lad in (self.center, self.lower, self.upper)
+                   if lad is not None)
+
 
 def build_sector_ladders(params, horizon: float, tau_step: float | None = None,
                          target_error: float = 1e-8, neighbors: bool = True,

@@ -18,8 +18,9 @@ diagonal is kept in closed form: integer arithmetic on the occupations gives
 it exactly, where ladder products would round their square roots.
 
 All couplings are real, so the matrix comes out real symmetric. It is stored
-complex, the dtype of the states it acts on and of the Taylor ladder built
-from it; diagonalize takes its real part, so the eigenvectors are real.
+complex, the dtype of the states it acts on; diagonalize takes its real
+part, so the eigenvectors are real, and the Taylor ladder stores each rung
+as a packed complex-symmetric triangle.
 
 Energies are measured in units of J throughout (set hopping=1).
 """
@@ -97,6 +98,11 @@ class SectorOperator:
 
     def max_element(self) -> float:
         return float(np.abs(self.matrix).max())
+
+    @property
+    def is_real(self) -> bool:
+        """Every imaginary part is zero, so the matrix is real symmetric."""
+        return bool(np.abs(self.matrix.imag).max() <= 1e-300)
 
 
 def _collective_lowering(basis: FockBasis):
@@ -204,7 +210,7 @@ def diagonalize(op: SectorOperator) -> EigenSystem:
     """
     h = op.matrix
     try:
-        if np.abs(h.imag).max() <= 1e-300:
+        if op.is_real:
             # real symmetric path is four times cheaper, and its vectors
             # stay real: half the memory of complex ones
             energies, vectors = la.eigh(h.real)

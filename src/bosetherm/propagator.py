@@ -21,8 +21,14 @@ rungs, which is exact for unitaries up to the Taylor truncation. Truncation
 errors add up over the effective number of base steps, so the base step
 must shrink with the horizon: choose_base_step picks dt from
 horizon * rho^(k+1) * dt^k / (k+1)! <= target (rho estimated by power
-iteration) intersected with the max-element rule above. Memory is depth + 1
-dense complex rungs.
+iteration) intersected with the max-element rule above. When H is real
+symmetric (every model sector), every rung is a polynomial in H and so
+complex symmetric (U^T = U): the ladder keeps each as its packed upper
+triangle, one row of a (depth + 1, d(d+1)/2) complex array, squares it with
+the half-cost symmetric rank-k update (zsyrk) between two dense work
+matrices, and advance applies it by packed matrix-vector products (zspmv).
+Memory is then (depth + 1) / 2 dense complex rungs plus, while building,
+two dense work matrices. A complex Hermitian H keeps depth + 1 dense rungs.
 
 EigenPropagator (exact). One diagonalization H = V E V^T gives
 U0^m = V exp(-i E m dt) V^T for any m, with no truncation, from one real
@@ -37,6 +43,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.blas import zspmv, zsyrk
 
 from .errors import (
     CapacityError,
@@ -48,14 +55,18 @@ from .fock import StateVector
 from .hamiltonian import EigenSystem, SectorOperator, diagonalize
 
 MAX_STEP_FACTOR = 0.1
+# rows of a work matrix multiplied at a time when a packed ladder with
+# branching > 2 multiplies in place
+PRODUCT_ROWS = 64
 
 
 @dataclass(frozen=True)
 class PropagatorConfig:
     """Shape of the propagator ladder, and the lattice of both propagators.
 
-    max_rung_bytes caps one dense matrix: a complex rung of the ladder, or
-    the real eigenvectors of the eigen propagator.
+    max_rung_bytes caps one dense matrix: a complex rung or work matrix of
+    the ladder (a packed rung takes about half of one), or the real
+    eigenvectors of the eigen propagator.
     """
 
     base_step: float
@@ -112,23 +123,55 @@ def _check_step_rule(op: SectorOperator, config: PropagatorConfig) -> None:
 
 
 def base_step(op: SectorOperator, config: PropagatorConfig) -> np.ndarray:
-    """Truncated Taylor propagator over one base step."""
-    h = op.matrix
+    """Truncated Taylor propagator over one base step.
+
+    A real H keeps the terms (dt H)^k / k! real and adds each, times
+    (-i)^k, into the real or imaginary part of the sum.
+    """
     _check_step_rule(op, config)
-    scaled = (-1j * config.base_step) * h
-    u = np.eye(h.shape[0], dtype=np.complex128)
-    term = np.eye(h.shape[0], dtype=np.complex128)
+    real = op.is_real
+    if real:
+        scaled = config.base_step * op.matrix.real
+    else:
+        scaled = (-1j * config.base_step) * op.matrix
+    u = np.eye(op.basis.dim, dtype=np.complex128)
+    term = np.eye(op.basis.dim, dtype=scaled.dtype)
+    spare = np.empty_like(term)
     for k in range(1, config.taylor_order + 1):
-        term = (scaled @ term) / k
-        u += term
+        np.matmul(scaled, term, out=spare)
+        spare /= k
+        term, spare = spare, term
+        if real:
+            part = u.imag if k % 2 else u.real
+            if k % 4 in (1, 2):  # (-i)^k is -i or -1
+                part -= term
+            else:
+                part += term
+        else:
+            u += term
     return u
+
+
+def _mirror_upper(matrix: np.ndarray) -> None:
+    """Copy the upper triangle of a square matrix onto its lower one."""
+    for j in range(1, matrix.shape[0]):
+        matrix[j, :j] = matrix[:j, j]
+
+
+def _pack(matrix: np.ndarray, packed: np.ndarray) -> None:
+    """The upper triangle of matrix, column by column, into packed: the
+    BLAS packed storage of a symmetric matrix."""
+    start = 0
+    for j in range(matrix.shape[0]):
+        packed[start:start + j + 1] = matrix[:j + 1, j]
+        start += j + 1
 
 
 class Propagator:
     """U0^m on the lattice of a config, for one sector.
 
     Subclasses supply _walk_columns, which advance_columns and advance call
-    once the step counts passed _check_span.
+    once the step counts passed _check_span, and nbytes, the bytes they hold.
     """
 
     def __init__(self, basis, config: PropagatorConfig):
@@ -179,30 +222,66 @@ class Propagator:
 
 
 class PropagatorLadder(Propagator):
-    """Rungs U0^(n^k) for k = 0..depth over one sector."""
+    """Rungs U0^(n^k) for k = 0..depth over one sector.
 
-    def __init__(self, basis, config: PropagatorConfig, rungs: list[np.ndarray]):
+    rungs[k] is a dense matrix, or, when packed, the upper triangle of a
+    complex symmetric rung in BLAS packed storage (a row of one array).
+    """
+
+    def __init__(self, basis, config: PropagatorConfig, rungs):
         super().__init__(basis, config)
         self.rungs = rungs
+        self.packed = np.ndim(rungs[0]) == 1
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes of the rungs held."""
+        return sum(rung.nbytes for rung in self.rungs)
+
+    def rung(self, k: int, out: np.ndarray | None = None) -> np.ndarray:
+        """Rung k as a dense matrix: the stored one, or a packed one
+        unpacked into out (a new matrix when out is None)."""
+        if not self.packed:
+            return self.rungs[k]
+        if out is None:
+            out = np.empty((self.basis.dim,) * 2, dtype=np.complex128,
+                           order="F")
+        packed, start = self.rungs[k], 0
+        for j in range(self.basis.dim):
+            out[:j + 1, j] = packed[start:start + j + 1]
+            start += j + 1
+        _mirror_upper(out)
+        return out
+
+    def _apply(self, k: int, vector: np.ndarray,
+               transpose: bool) -> np.ndarray:
+        """Rung k, or its transpose, times one vector."""
+        if self.packed:
+            return zspmv(self.basis.dim, 1.0, self.rungs[k], vector)
+        return vector @ self.rungs[k] if transpose else self.rungs[k] @ vector
 
     def advance(self, amplitudes: np.ndarray, steps: int) -> np.ndarray:
-        """Apply U0^steps by matrix-vector products, without the column
-        walk's fancy-index copies; negative steps apply the adjoint rungs."""
+        """Apply U0^steps to one vector by matrix-vector products, without
+        the column walk's fancy-index copies; a block takes the column walk.
+
+        Negative steps apply the adjoint rungs as U^dag x = conj(U^T
+        conj(x)): the transposed rungs act on the conjugated vector.
+        """
+        amps = np.asarray(amplitudes)
+        if amps.ndim != 1:
+            return super().advance(amps, steps)
         self._check_span(abs(steps))
-        out = np.array(amplitudes, dtype=np.complex128, copy=True)
-        forward = steps >= 0
+        backward = steps < 0
+        out = amps.astype(np.complex128)
+        if backward:
+            np.conjugate(out, out=out)
         m = abs(int(steps))
         n = self.config.branching
         for k in range(self.config.depth, -1, -1):
             count, m = divmod(m, n ** k)
             for _ in range(count):
-                if forward:
-                    out = self.rungs[k] @ out
-                elif out.ndim == 1:
-                    out = (out.conj() @ self.rungs[k]).conj()
-                else:
-                    out = (out.conj().T @ self.rungs[k]).conj().T
-        return out
+                out = self._apply(k, out, backward)
+        return np.conjugate(out, out=out) if backward else out
 
     def _walk_columns(self, block: np.ndarray,
                       steps: np.ndarray) -> np.ndarray:
@@ -210,15 +289,20 @@ class PropagatorLadder(Propagator):
 
         Rungs are walked from the top down, and at each rung the columns
         whose base-n digit there is nonzero share one matrix-matrix product
-        per repeat of the digit.
+        per repeat of the digit. A packed rung is unpacked into one dense
+        work matrix for its products.
         """
         out = np.array(block, dtype=np.complex128, copy=True)
         forward = steps >= 0
         remaining = np.abs(steps)
         n = self.config.branching
+        work = (np.empty((self.basis.dim,) * 2, dtype=np.complex128,
+                         order="F") if self.packed else None)
         for k in range(self.config.depth, -1, -1):
             digits, remaining = np.divmod(remaining, n ** k)
-            rung = self.rungs[k]
+            if not digits.any():
+                continue
+            rung = self.rung(k, work)
             for repeat in range(1, n):
                 due = digits >= repeat
                 fwd = np.flatnonzero(due & forward)
@@ -232,14 +316,41 @@ class PropagatorLadder(Propagator):
 
 
 def build_ladder(op: SectorOperator, config: PropagatorConfig) -> PropagatorLadder:
-    """Build all rungs; memory use is (depth + 1) dense matrices."""
-    rung_bytes = 16 * op.basis.dim ** 2
+    """Build all rungs; the one-matrix cap is checked before any allocation.
+
+    A real symmetric H gives packed rungs: each squaring is one zsyrk
+    (U U^T = U^2) from one dense Fortran-ordered work matrix into another,
+    whose triangle is mirrored; for branching > 2 it then takes the
+    remaining factors in place, PRODUCT_ROWS rows at a time, and is packed.
+    Otherwise the (depth + 1) rungs are dense matrix powers.
+    """
+    dim = op.basis.dim
+    rung_bytes = 16 * dim ** 2
     if rung_bytes > config.max_rung_bytes:
         raise CapacityError(
             f"one rung needs {rung_bytes} bytes > cap {config.max_rung_bytes}")
-    rungs = [base_step(op, config)]
-    for _ in range(config.depth):
-        rungs.append(np.linalg.matrix_power(rungs[-1], config.branching))
+    if not op.is_real:
+        rungs = [base_step(op, config)]
+        for _ in range(config.depth):
+            rungs.append(np.linalg.matrix_power(rungs[-1], config.branching))
+        return PropagatorLadder(op.basis, config, rungs)
+    rungs = np.empty((config.depth + 1, dim * (dim + 1) // 2),
+                     dtype=np.complex128)
+    work = base_step(op, config).T  # Fortran-ordered, symmetric to rounding
+    _mirror_upper(work)
+    _pack(work, rungs[0])
+    spare = np.empty_like(work)
+    for k in range(1, config.depth + 1):
+        zsyrk(1.0, work, c=spare, overwrite_c=1)  # upper triangle only
+        _mirror_upper(spare)
+        for _ in range(config.branching - 2):
+            # row i of (spare work) needs only row i of spare
+            for lo in range(0, dim, PRODUCT_ROWS):
+                rows = slice(lo, lo + PRODUCT_ROWS)
+                spare[rows] = spare[rows] @ work
+            _mirror_upper(spare)
+        _pack(spare, rungs[k])
+        work, spare = spare, work
     return PropagatorLadder(op.basis, config, rungs)
 
 
@@ -268,6 +379,15 @@ class EigenPropagator(Propagator):
         self.vectors = vectors
         self._adjoint = (vectors.conj().T if np.iscomplexobj(vectors)
                          else vectors.T)
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes of the arrays held: the energies, the eigenvectors and,
+        when those are complex, their conjugate transpose."""
+        held = self.energies.nbytes + self.vectors.nbytes
+        if np.iscomplexobj(self.vectors):
+            held += self._adjoint.nbytes
+        return held
 
     def _walk_columns(self, block: np.ndarray,
                       steps: np.ndarray) -> np.ndarray:

@@ -596,6 +596,7 @@ def _stage_evolve(cfg: dict, outdir: Path):
         "dimension": basis.dim,
         "base_step": ladder.base_step,
         "depth": ladder.config.depth,
+        "propagator_bytes": ladders.nbytes,
         "snap_defect": float(np.abs(times - snapped).max()),
         "norm_drift": float(np.abs(norms - 1.0).max()),
         "energy_drift": float(np.abs(energies_t - energies_t[0]).max()
@@ -698,6 +699,7 @@ def _stage_greens(cfg: dict, outdir: Path):
 
     diag = {"base_step": ladders.center.base_step,
             "depth": ladders.center.config.depth,
+            "propagator_bytes": ladders.nbytes,
             "com_times": [e["com_time"] for e in entries]}
     if green_pairs:
         diag["equal_time_defect"] = equal_time_defect
@@ -715,8 +717,11 @@ def _load_spectrum_csv(outdir: Path, name: str, kind: str, pair,
                               tau_step=index["tau_step"])
 
 
-def _level_flags(center: float, width: float, energies: np.ndarray) -> list:
-    """Why a fitted level cannot be read as a level of the energy grid."""
+def _level_flags(center: float, width: float, weight: float,
+                 occupation: float, energies: np.ndarray) -> list:
+    """Why a fitted level cannot be read as a level of the energy grid with
+    a physical occupation: a spectral weight that is not positive, or an
+    FDT ratio 2n + 1 below 1, cannot come from a thermal level."""
     lo, hi = float(energies[0]), float(energies[-1])
     flags = []
     if width > hi - lo:
@@ -725,6 +730,10 @@ def _level_flags(center: float, width: float, energies: np.ndarray) -> list:
         flags.append("width below the energy grid spacing")
     if not lo <= center <= hi:
         flags.append("center outside the energy grid")
+    if weight <= 0.0:
+        flags.append("spectral weight not positive")
+    if occupation < 0.0:
+        flags.append("FDT ratio below 1")
     return flags
 
 
@@ -772,7 +781,7 @@ def _fit_trace_levels(record: dict, spec_a: CorrelatorSpectrum,
                      "keldysh_weight": peaks_k.weights[p],
                      "occupation": occ}
             flags = _level_flags(peaks_a.centers[p], peaks_a.widths[p],
-                                 spec_a.energies)
+                                 peaks_a.weights[p], occ, spec_a.energies)
             if flags:
                 level["flags"] = flags
             levels.append(level)

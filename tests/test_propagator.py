@@ -34,12 +34,25 @@ from bosetherm.propagator import (
 # (modes, particles) of the model sectors the eigen propagator is checked on
 EIGEN_SECTORS = [(3, 2), (5, 6)]
 
+# the generic ladder tests run on both: a complex Hermitian generator keeps
+# dense rungs, a real symmetric one (as every model sector is) gets packed
+# ones
+GENERATORS = ["complex_hermitian", "real_symmetric"]
+
 
 def random_hermitian_op(dim, rng, scale=1.0):
     a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     h = scale * (a + a.conj().T) / (2.0 * np.sqrt(dim))
     basis = enumerate_basis(2, dim - 1)  # any sector with the right dim
     return SectorOperator(basis, h)
+
+
+def random_generator(kind, dim, rng):
+    if kind == "complex_hermitian":
+        return random_hermitian_op(dim, rng)
+    a = rng.normal(size=(dim, dim))
+    return SectorOperator(enumerate_basis(2, dim - 1),
+                          (a + a.T) / (2.0 * np.sqrt(dim)))
 
 
 def random_unit(dim, rng):
@@ -87,92 +100,118 @@ def test_spectral_radius_estimate_bounds_spectrum():
 
 
 def test_rungs_are_exact_powers():
-    rng = np.random.default_rng(4)
-    op = random_hermitian_op(10, rng)
-    cfg = choose_base_step(op, horizon=10.0, branching=3)
+    for kind in GENERATORS:
+        rng = np.random.default_rng(4)
+        op = random_generator(kind, 10, rng)
+        cfg = choose_base_step(op, horizon=10.0, branching=3)
+        ladder = build_ladder(op, cfg)
+        assert ladder.packed == (kind == "real_symmetric")
+        u0 = ladder.rung(0)
+        assert np.abs(u0 - base_step(op, cfg)).max() < 1e-15
+        for k in range(1, cfg.depth + 1):
+            direct = np.linalg.matrix_power(u0, 3 ** k)
+            assert np.abs(ladder.rung(k) - direct).max() < 1e-10
+
+
+@pytest.mark.parametrize("branching", [2, 3])
+def test_model_sector_rungs_are_packed_exact_powers(branching):
+    op = model_op(5, 4)  # dim 70
+    cfg = choose_base_step(op, horizon=10.0, branching=branching)
     ladder = build_ladder(op, cfg)
-    u0 = ladder.rungs[0]
+    dim = op.basis.dim
+    assert ladder.packed
+    assert ladder.rungs.shape == (cfg.depth + 1, dim * (dim + 1) // 2)
+    assert ladder.nbytes == (cfg.depth + 1) * 8 * dim * (dim + 1)
+    u0 = ladder.rung(0)
+    assert np.abs(u0 - u0.T).max() == 0.0
     for k in range(1, cfg.depth + 1):
-        direct = np.linalg.matrix_power(u0, 3 ** k)
-        assert np.abs(ladder.rungs[k] - direct).max() < 1e-10
+        direct = np.linalg.matrix_power(u0, branching ** k)
+        assert np.abs(ladder.rung(k) - direct).max() < 1e-10
 
 
 @pytest.mark.parametrize("branching", [2, 3])
 def test_evolution_matches_eigensolver(branching):
-    rng = np.random.default_rng(5)
-    op = random_hermitian_op(60, rng)
-    eig = diagonalize(op)
-    cfg = choose_base_step(op, horizon=1000.0, branching=branching)
-    ladder = build_ladder(op, cfg)
-    psi0 = random_unit(60, rng)
-    state = StateVector(op.basis, psi0)
-    for t in [0.0, 0.37, 5.0, 113.0, 999.0]:
-        m, actual = ladder.snap(t)
-        moved = evolve_to(ladder, state, t)
-        expect = oracles.exact_evolve(eig.energies, eig.vectors, psi0, actual)
-        assert np.abs(moved.amplitudes - expect).max() < 1e-6
-        assert abs(moved.norm() - 1.0) < 1e-8
+    for kind in GENERATORS:
+        rng = np.random.default_rng(5)
+        op = random_generator(kind, 60, rng)
+        eig = diagonalize(op)
+        cfg = choose_base_step(op, horizon=1000.0, branching=branching)
+        ladder = build_ladder(op, cfg)
+        psi0 = random_unit(60, rng)
+        state = StateVector(op.basis, psi0)
+        for t in [0.0, 0.37, 5.0, 113.0, 999.0]:
+            m, actual = ladder.snap(t)
+            moved = evolve_to(ladder, state, t)
+            expect = oracles.exact_evolve(eig.energies, eig.vectors, psi0,
+                                          actual)
+            assert np.abs(moved.amplitudes - expect).max() < 1e-6
+            assert abs(moved.norm() - 1.0) < 1e-8
 
 
 def test_backward_evolution_matches_eigensolver():
-    rng = np.random.default_rng(6)
-    op = random_hermitian_op(40, rng)
-    eig = diagonalize(op)
-    cfg = choose_base_step(op, horizon=50.0)
-    ladder = build_ladder(op, cfg)
-    psi0 = random_unit(40, rng)
-    state = StateVector(op.basis, psi0)
-    m, actual = ladder.snap(-17.3)
-    moved = evolve_to(ladder, state, -17.3)
-    expect = oracles.exact_evolve(eig.energies, eig.vectors, psi0, actual)
-    assert np.abs(moved.amplitudes - expect).max() < 1e-6
+    for kind in GENERATORS:
+        rng = np.random.default_rng(6)
+        op = random_generator(kind, 40, rng)
+        eig = diagonalize(op)
+        cfg = choose_base_step(op, horizon=50.0)
+        ladder = build_ladder(op, cfg)
+        psi0 = random_unit(40, rng)
+        state = StateVector(op.basis, psi0)
+        m, actual = ladder.snap(-17.3)
+        moved = evolve_to(ladder, state, -17.3)
+        expect = oracles.exact_evolve(eig.energies, eig.vectors, psi0, actual)
+        assert np.abs(moved.amplitudes - expect).max() < 1e-6
 
 
 def test_forward_then_backward_is_identity():
-    rng = np.random.default_rng(7)
-    op = random_hermitian_op(30, rng)
-    cfg = choose_base_step(op, horizon=100.0)
-    ladder = build_ladder(op, cfg)
-    v = random_unit(30, rng)
-    back = ladder.advance(ladder.advance(v, 12345), -12345)
-    assert np.abs(back - v).max() < 1e-7
+    for kind in GENERATORS:
+        rng = np.random.default_rng(7)
+        op = random_generator(kind, 30, rng)
+        cfg = choose_base_step(op, horizon=100.0)
+        ladder = build_ladder(op, cfg)
+        v = random_unit(30, rng)
+        back = ladder.advance(ladder.advance(v, 12345), -12345)
+        assert np.abs(back - v).max() < 1e-7
 
 
 def test_advance_composes():
-    rng = np.random.default_rng(8)
-    op = random_hermitian_op(25, rng)
-    cfg = choose_base_step(op, horizon=30.0)
-    ladder = build_ladder(op, cfg)
-    v = random_unit(25, rng)
-    both = ladder.advance(v, 700 + 41)
-    split = ladder.advance(ladder.advance(v, 700), 41)
-    assert np.abs(both - split).max() < 1e-12
+    for kind in GENERATORS:
+        rng = np.random.default_rng(8)
+        op = random_generator(kind, 25, rng)
+        cfg = choose_base_step(op, horizon=30.0)
+        ladder = build_ladder(op, cfg)
+        v = random_unit(25, rng)
+        both = ladder.advance(v, 700 + 41)
+        split = ladder.advance(ladder.advance(v, 700), 41)
+        assert np.abs(both - split).max() < 1e-12
 
 
 def test_advance_handles_matrix_columns():
-    rng = np.random.default_rng(9)
-    op = random_hermitian_op(20, rng)
-    ladder = build_ladder(op, choose_base_step(op, horizon=5.0))
-    block = rng.normal(size=(20, 3)) + 1j * rng.normal(size=(20, 3))
-    together = ladder.advance(block, -250)
-    for col in range(3):
-        alone = ladder.advance(block[:, col], -250)
-        assert np.abs(together[:, col] - alone).max() < 1e-12
+    for kind in GENERATORS:
+        rng = np.random.default_rng(9)
+        op = random_generator(kind, 20, rng)
+        ladder = build_ladder(op, choose_base_step(op, horizon=5.0))
+        block = rng.normal(size=(20, 3)) + 1j * rng.normal(size=(20, 3))
+        together = ladder.advance(block, -250)
+        for col in range(3):
+            alone = ladder.advance(block[:, col], -250)
+            assert np.abs(together[:, col] - alone).max() < 1e-12
 
 
 def test_advance_columns_matches_per_column_advance():
-    rng = np.random.default_rng(15)
-    op = random_hermitian_op(20, rng)
-    ladder = build_ladder(op, PropagatorConfig(base_step=0.01, depth=6,
-                                               branching=3))
-    steps = [0, 1, -1, 250, -250, 1000, -7, ladder.max_steps, 0, 13]
-    block = (rng.normal(size=(20, len(steps)))
-             + 1j * rng.normal(size=(20, len(steps))))
-    walked = advance_columns(ladder, block, steps)
-    for col, count in enumerate(steps):
-        alone = ladder.advance(block[:, col], count)
-        assert np.abs(walked[:, col] - alone).max() < 1e-12
-    assert np.abs(walked[:, 0] - block[:, 0]).max() == 0.0
+    for kind in GENERATORS:
+        rng = np.random.default_rng(15)
+        op = random_generator(kind, 20, rng)
+        ladder = build_ladder(op, PropagatorConfig(base_step=0.01, depth=6,
+                                                   branching=3))
+        steps = [0, 1, -1, 250, -250, 1000, -7, ladder.max_steps, 0, 13]
+        block = (rng.normal(size=(20, len(steps)))
+                 + 1j * rng.normal(size=(20, len(steps))))
+        walked = advance_columns(ladder, block, steps)
+        for col, count in enumerate(steps):
+            alone = ladder.advance(block[:, col], count)
+            assert np.abs(walked[:, col] - alone).max() < 1e-12
+        assert np.abs(walked[:, 0] - block[:, 0]).max() == 0.0
 
 
 def test_advance_columns_walks_a_block_wider_than_the_sector():
@@ -442,3 +481,36 @@ def test_eigen_walk_holds_at_most_two_block_sized_arrays():
         slack = (16 * dim + 8 * steps.size + 2 * 16 * np.getbufsize()
                  + 8192)
         assert peak <= 2 * block.nbytes + slack, (peak, block.nbytes)
+
+
+@pytest.mark.parametrize("branching", [2, 3])
+def test_packed_ladder_build_holds_its_rungs_and_three_dense_matrices(
+        branching):
+    op = model_op(5, 6)  # dim 210
+    cfg = choose_base_step(op, horizon=1000.0, branching=branching)
+    dim = op.basis.dim
+    tracemalloc.start()
+    try:
+        ladder = build_ladder(op, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    store = (cfg.depth + 1) * 8 * dim * (dim + 1)
+    assert ladder.nbytes == store
+    # the packed rungs and three dense matrices: the two work matrices of
+    # the squarings, with room for the base step's real terms and the row
+    # blocks of branching > 2; dense rungs would take twice the store
+    assert peak <= store + 3 * 16 * dim * dim, (peak, store)
+
+
+def test_propagators_report_the_bytes_they_hold():
+    op = model_op(3, 2)
+    dim = op.basis.dim
+    cfg = PropagatorConfig(base_step=1e-3, depth=4)
+    assert build_ladder(op, cfg).nbytes == 5 * 8 * dim * (dim + 1)
+    assert build_eigen_propagator(op, cfg).nbytes == 8 * dim * (dim + 1)
+    rng = np.random.default_rng(33)
+    cplx = random_hermitian_op(10, rng)
+    assert build_ladder(cplx, cfg).nbytes == 5 * 16 * 100
+    # complex eigenvectors and their held conjugate transpose
+    assert build_eigen_propagator(cplx, cfg).nbytes == 8 * 10 + 2 * 16 * 100

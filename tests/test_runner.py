@@ -15,6 +15,7 @@ from bosetherm import (ConfigError, EmptyWindowError, HamiltonianParams,
                        occupation_state, read_csv, reduced_density,
                        resolve_times, run, single_particle_correlators,
                        tau_grid, to_energy, validate_config, write_csv)
+from bosetherm.fock import sector_dimension
 from bosetherm.runner import STAGES
 
 import oracles
@@ -520,6 +521,51 @@ def test_thermometry_flags_levels_off_the_energy_grid(tmp_path, levels, seeds,
                              [lv["occupation"] for lv in kept])
     assert record["bose"]["points"] == 3
     assert record["bose"]["temperature"] == want.temperature
+
+
+def test_thermometry_keeps_unphysical_levels_out_of_the_fit(tmp_path):
+    # the one level tests/small_quench.json fits has spectral weight -0.57
+    # and occupation -4.69
+    outdir = tmp_path / "out"
+    with pytest.warns(UserWarning, match="unphysical occupation"):
+        manifest = run(small_quench_config(outdir))
+    assert manifest["stages"]["thermometry"]["diagnostics"][
+        "flagged_levels"] == 1
+    record = json.loads((outdir / "thermometry.json").read_text())["bose"][0]
+    (level,) = record["levels"]
+    assert level["spectral_weight"] == pytest.approx(-0.57, abs=0.01)
+    assert level["occupation"] == pytest.approx(-4.69, abs=0.01)
+    assert level["flags"] == ["spectral weight not positive",
+                              "FDT ratio below 1"]
+    # a negative occupation among positive ones: the fit reads the others
+    levels = [(5.0, 0.5, 1.0), (10.0, 0.5, -0.3), (15.0, 0.5, 0.3),
+              (20.0, 0.5, 0.25)]
+    with pytest.warns(UserWarning, match="unphysical occupation"):
+        manifest, record = run_synthetic_thermometry(
+            tmp_path / "synthetic", levels, [5.0, 10.0, 15.0, 20.0])
+    assert [lv.get("flags") for lv in record["levels"]] == [
+        None, ["FDT ratio below 1"], None, None]
+    kept = [lv for lv in record["levels"] if "flags" not in lv]
+    want = fit_bose_einstein([lv["center"] for lv in kept],
+                             [lv["occupation"] for lv in kept])
+    assert record["bose"]["points"] == 3
+    assert record["bose"]["temperature"] == want.temperature
+
+
+@pytest.mark.parametrize("propagation", [{}, {"base_step": 0.001}])
+def test_stage_diagnostics_record_the_propagator_bytes(tmp_path,
+                                                       propagation):
+    cfg = small_quench_config(tmp_path / "out")
+    cfg["propagation"] = propagation
+    manifest = run(cfg, stages=["evolve", "greens"])
+    for stage, sectors in (("evolve", [2]), ("greens", [1, 2, 3])):
+        diag = manifest["stages"][stage]["diagnostics"]
+        # real eigenvectors and energies, or depth + 1 packed rungs, each
+        # 8 d (d + 1) bytes
+        copies = diag["depth"] + 1 if propagation else 1
+        dims = [sector_dimension(3, n) for n in sectors]
+        assert diag["propagator_bytes"] == sum(
+            copies * 8 * d * (d + 1) for d in dims)
 
 
 def test_thermometry_records_the_warnings_of_its_fits(tmp_path):
