@@ -1,7 +1,7 @@
 """Command-line front end for the pipeline and the standalone fitters.
 
 Exit codes: 0 on success, 2 for configuration problems, 3 for numerical
-failures (step-rule violations, aliasing, fits that cannot converge).
+failures (empty energy windows, aliasing, fits that cannot converge).
 """
 
 from __future__ import annotations
@@ -89,24 +89,28 @@ def _fit_command(args) -> dict:
             raise NumericsError(entry["error"])
         return _jsonify({"model": "biexp", "column": yname, **entry})
 
-    if args.model == "bose":
-        sigmas = cols[names[2]] if len(names) > 2 else None
-        fit = fit_bose_einstein(cols[names[0]], cols[names[1]], sigmas)
-    else:
-        if args.window is None:
-            raise ConfigError("the fdt model needs --window LO HI")
-        if len(names) < 3:
-            raise ConfigError(f"{path} needs columns E, forward, reversed")
-        forward, reverse = (CorrelatorSpectrum(
-            kind, None, 0.0, cols[names[0]], cols[name], "rect")
-            for kind, name in (("density_forward", names[1]),
-                               ("density_reversed", names[2])))
-        fit = fit_fdt_beta(forward, reverse, tuple(args.window))
+    try:  # a fitter refuses a table or window it cannot fit as ValueError
+        if args.model == "bose":
+            sigmas = cols[names[2]] if len(names) > 2 else None
+            fit = fit_bose_einstein(cols[names[0]], cols[names[1]], sigmas)
+        else:
+            if args.window is None:
+                raise ConfigError("the fdt model needs --window LO HI")
+            if len(names) < 3:
+                raise ConfigError(f"{path} needs columns E, forward, reversed")
+            forward, reverse = (CorrelatorSpectrum(
+                kind, None, 0.0, cols[names[0]], cols[name], "rect")
+                for kind, name in (("density_forward", names[1]),
+                                   ("density_reversed", names[2])))
+            fit = fit_fdt_beta(forward, reverse, tuple(args.window))
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     return _jsonify({**asdict(fit), "model": args.model})
 
 
 def _dispatch(args) -> int:
     from . import runner
+    from .errors import ConfigError
     if args.command == "fit":
         text = json.dumps(_fit_command(args), indent=2, sort_keys=True)
         if args.out:
@@ -119,6 +123,8 @@ def _dispatch(args) -> int:
     if args.command == "greens" and (args.pair or args.time is not None):
         raw = runner.read_config(args.config)
         meas = raw.setdefault("measurement", {})
+        if not isinstance(meas, dict):
+            raise ConfigError("measurement must be an object")
         if args.pair:
             meas["green_pairs"] = [_parse_pair(args.pair)]
             meas["density_pairs"] = []

@@ -12,12 +12,12 @@ advance_columns block, one step count per column. The trajectory states
 psi(t + m*dtau/2), m = -K..K, are one block: psi0 in every column, each
 column with its own count. Each tau point then needs one sector walk on a
 few sector vectors; the walks of many tau points are stacked as the columns
-of one block and moved together. On eigen propagators (the default of
-build_sector_ladders) a walk is exact: two real products with the
-eigenvectors around per-column phases. On ladders (an explicit
-PropagatorConfig) it takes O(log tau) rung applies, and each rung meets the
-block as matrix-matrix products. The sweeps take the tau points in runs of
-at most dim(N) columns, which bounds the sector vectors they build at once.
+of one block and moved together. On the eigen propagators that
+build_sector_ladders builds a walk is exact: two real products with the
+eigenvectors around per-column phases. On Taylor ladders (build_ladder, the
+cross-check) each column takes its own O(log tau) rung applies. The sweeps
+take the tau points in runs of at most dim(N) columns, which bounds the
+sector vectors they build at once.
 
 The energy transform follows f(E) = dtau * sum_k w(tau_k) C(tau_k)
 exp(+i E tau_k) with a Hann window by default. The series of one sweep
@@ -37,11 +37,9 @@ from .fock import FockBasis, StateVector
 from .hamiltonian import EigenSystem, build_hamiltonian
 from .propagator import (
     Propagator,
-    PropagatorConfig,
     _depth_for_horizon,
     advance_columns,
     build_eigen_propagator,
-    build_ladder,
     choose_base_step,
 )
 
@@ -172,19 +170,16 @@ class SectorLadders:
 
 def build_sector_ladders(params, horizon: float, tau_step: float | None = None,
                          target_error: float = 1e-8, neighbors: bool = True,
-                         config: PropagatorConfig | None = None,
                          center: EigenSystem | None = None,
                          **config_kwargs) -> SectorLadders:
-    """Propagators for N and (optionally) N-1, N+1 with one shared base step.
+    """Exact propagators for N and (optionally) N-1, N+1 on one lattice.
 
-    Without a config the step is the tightest of the per-sector choices,
+    The step is the tightest of the per-sector choices of choose_base_step,
     aligned to half the relative-time step when one is given, so
     mixed-sector walks stay on a single lattice, and each sector gets an
-    exact EigenPropagator on that lattice; center, an eigensystem of the N
-    sector the caller holds, serves its propagator, so only the sectors
-    not given are diagonalized. A given config fixes the shared shape
-    instead and builds Taylor ladders; the step choice inputs (tau_step,
-    target_error, config_kwargs) and center are then unused.
+    EigenPropagator on that lattice; center, an eigensystem of the N sector
+    the caller holds, serves its propagator, so only the sectors not given
+    are diagonalized.
     """
     counts = [params.num_particles]
     if neighbors:
@@ -193,20 +188,17 @@ def build_sector_ladders(params, horizon: float, tau_step: float | None = None,
         counts += [params.num_particles - 1, params.num_particles + 1]
     ops = {n: build_hamiltonian(dataclasses.replace(params, num_particles=n))
            for n in counts}
-    if config is None:
-        align = None if tau_step is None else tau_step / 2.0
-        cfgs = [choose_base_step(ops[n], horizon, target_error=target_error,
-                                 align_to=align, **config_kwargs)
-                for n in counts]
-        # min of aligned steps is still an integer divisor of the alignment
-        dt = min(c.base_step for c in cfgs)
-        depth = _depth_for_horizon(dt, cfgs[0].branching, horizon)
-        config = dataclasses.replace(cfgs[0], base_step=dt, depth=depth)
-        held = {params.num_particles: center}
-        ladders = {n: build_eigen_propagator(ops[n], config, held.get(n))
-                   for n in counts}
-    else:
-        ladders = {n: build_ladder(ops[n], config) for n in counts}
+    align = None if tau_step is None else tau_step / 2.0
+    cfgs = [choose_base_step(ops[n], horizon, target_error=target_error,
+                             align_to=align, **config_kwargs)
+            for n in counts]
+    # min of aligned steps is still an integer divisor of the alignment
+    dt = min(c.base_step for c in cfgs)
+    depth = _depth_for_horizon(dt, cfgs[0].branching, horizon)
+    config = dataclasses.replace(cfgs[0], base_step=dt, depth=depth)
+    held = {params.num_particles: center}
+    ladders = {n: build_eigen_propagator(ops[n], config, held.get(n))
+               for n in counts}
     return SectorLadders(
         center=ladders[params.num_particles],
         lower=ladders.get(params.num_particles - 1),

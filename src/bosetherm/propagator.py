@@ -14,9 +14,8 @@ PropagatorLadder (the paper's method). The base propagator
 U0 = sum_{k<=k_max} (-i dt)^k H^k / k! is accurate for dt * max|H_ij| <= 0.1
 (enforced). A ladder of rungs U_r = (U_{r-1})^n then spans n^r * dt each, so
 any lattice time m * dt is reached with O(log m) rung applies via the base-n
-digits of m. advance walks by matrix-vector products; the column walk
-applies every rung once to all the columns whose digit needs it, so many
-short walks share matrix-matrix products. Negative times use the adjoint
+digits of m. advance walks by matrix-vector products, and the column walk
+is advance on each column in turn. Negative times use the adjoint
 rungs, which is exact for unitaries up to the Taylor truncation. Truncation
 errors add up over the effective number of base steps, so the base step
 must shrink with the horizon: choose_base_step picks dt from
@@ -238,14 +237,12 @@ class PropagatorLadder(Propagator):
         """Bytes of the rungs held."""
         return sum(rung.nbytes for rung in self.rungs)
 
-    def rung(self, k: int, out: np.ndarray | None = None) -> np.ndarray:
+    def rung(self, k: int) -> np.ndarray:
         """Rung k as a dense matrix: the stored one, or a packed one
-        unpacked into out (a new matrix when out is None)."""
+        unpacked."""
         if not self.packed:
             return self.rungs[k]
-        if out is None:
-            out = np.empty((self.basis.dim,) * 2, dtype=np.complex128,
-                           order="F")
+        out = np.empty((self.basis.dim,) * 2, dtype=np.complex128)
         packed, start = self.rungs[k], 0
         for j in range(self.basis.dim):
             out[:j + 1, j] = packed[start:start + j + 1]
@@ -261,8 +258,8 @@ class PropagatorLadder(Propagator):
         return vector @ self.rungs[k] if transpose else self.rungs[k] @ vector
 
     def advance(self, amplitudes: np.ndarray, steps: int) -> np.ndarray:
-        """Apply U0^steps to one vector by matrix-vector products, without
-        the column walk's fancy-index copies; a block takes the column walk.
+        """Apply U0^steps to one vector by matrix-vector products; a block
+        takes the column walk.
 
         Negative steps apply the adjoint rungs as U^dag x = conj(U^T
         conj(x)): the transposed rungs act on the conjugated vector.
@@ -285,33 +282,10 @@ class PropagatorLadder(Propagator):
 
     def _walk_columns(self, block: np.ndarray,
                       steps: np.ndarray) -> np.ndarray:
-        """Each column gets the rung products of advance, in the same order.
-
-        Rungs are walked from the top down, and at each rung the columns
-        whose base-n digit there is nonzero share one matrix-matrix product
-        per repeat of the digit. A packed rung is unpacked into one dense
-        work matrix for its products.
-        """
-        out = np.array(block, dtype=np.complex128, copy=True)
-        forward = steps >= 0
-        remaining = np.abs(steps)
-        n = self.config.branching
-        work = (np.empty((self.basis.dim,) * 2, dtype=np.complex128,
-                         order="F") if self.packed else None)
-        for k in range(self.config.depth, -1, -1):
-            digits, remaining = np.divmod(remaining, n ** k)
-            if not digits.any():
-                continue
-            rung = self.rung(k, work)
-            for repeat in range(1, n):
-                due = digits >= repeat
-                fwd = np.flatnonzero(due & forward)
-                if fwd.size:
-                    out[:, fwd] = rung @ out[:, fwd]
-                bwd = np.flatnonzero(due & ~forward)
-                if bwd.size:
-                    # (U^dag X) = (X^dag U)^dag, without a copy of the rung
-                    out[:, bwd] = (out[:, bwd].conj().T @ rung).conj().T
+        """Column c is advance(block[:, c], steps[c])."""
+        out = np.empty(block.shape, dtype=np.complex128)
+        for c, count in enumerate(steps):
+            out[:, c] = self.advance(block[:, c], int(count))
         return out
 
 

@@ -25,10 +25,11 @@ Stage order and artifacts:
     chaos           chaos.json
     fit             relaxation_fits.json
 
-Evolve and greens propagate the model sector with the build-spectrum
-eigensystem whenever it is on disk, and refuse one of other couplings. A
-stage that needs a missing artifact says which stage produces it. Mode
-indices are zero-based everywhere, matching the library API.
+Evolve and greens propagate exactly, in the eigenbasis of each sector; for
+the model sector they take the build-spectrum eigensystem whenever it is on
+disk, and refuse one of other couplings. A stage that needs a missing
+artifact says which stage produces it. Mode indices are zero-based
+everywhere, matching the library API.
 """
 
 from __future__ import annotations
@@ -53,7 +54,7 @@ from .fock import DIM_CAP, StateVector, enumerate_basis, sector_dimension
 from .hamiltonian import (GOE_MEAN_R, POISSON_MEAN_R, EigenSystem,
                           HamiltonianParams, _apply_terms, _hamiltonian_terms,
                           build_hamiltonian, diagonalize, r_ratio)
-from .propagator import PropagatorConfig, _depth_for_horizon, advance_columns
+from .propagator import advance_columns
 from .states import microcanonical_state, occupation_state, state_spectrum
 from .partition import build_partition, entanglement_entropy, reduced_density
 from .correlators import (WINDOW_KINDS, CorrelatorSpectrum, _whole_multiple,
@@ -122,10 +123,6 @@ def _number(rule=None, text=""):
 
 
 _positive = _number(lambda v: v > 0.0, "be positive")
-
-
-def _step(value, path, model):
-    return value if value == "auto" else _positive(value, path, model)
 
 
 def _choice(options, many=False):
@@ -239,11 +236,7 @@ _MODEL = {
 }
 
 _PROPAGATION = {
-    "base_step": (_step, "auto"),
     "target_error": (_number(lambda v: 0.0 < v < 1.0, "sit in (0, 1)"), 1e-8),
-    "taylor_order": (_int(1), 4),
-    "branching": (_int(2), 2),
-    "depth": (_optional(_int(0)), None),
     "horizon": (_optional(_positive), None),
 }
 
@@ -320,8 +313,6 @@ def validate_config(raw: dict, stages=None) -> dict:
              f"model sector has dimension {dim}, above the cap {DIM_CAP}")
 
     prop = _read_block(raw.get("propagation", {}), _PROPAGATION, "propagation")
-    _require(prop["depth"] is None or prop["base_step"] != "auto",
-             "propagation.depth needs a numeric propagation.base_step")
 
     state = raw.get("initial_state")
     if state is not None:
@@ -386,10 +377,6 @@ def validate_config(raw: dict, stages=None) -> dict:
                  "the greens stage needs green_pairs or density_pairs")
         _require(not meas["green_pairs"] or num_particles >= 1,
                  "measurement.green_pairs needs model.num_particles >= 1")
-        _require(prop["base_step"] == "auto"
-                 or _whole_multiple(tau_step / 2.0, prop["base_step"]),
-                 "propagation.base_step must divide measurement.tau_step / 2 "
-                 "for the greens stage")
     if "thermometry" in active and meas["density_pairs"]:
         _require(fits["fdt_window"] is not None,
                  "detailed-balance thermometry needs fits.fdt_window")
@@ -500,12 +487,11 @@ def _model_sector(cfg: dict, outdir: Path, horizon: float, neighbors: bool,
 
     eig is the stage's one eigensystem of the model sector: the
     build-spectrum artifacts, residual-checked, when they exist or a
-    microcanonical state needs them, else None. ladders is the propagation
-    block as one build_sector_ladders call, whose eigen propagator of the
-    model sector reuses eig, so without eig only that build diagonalizes.
-    propagation.horizon can only widen the stage's own horizon; a numeric
-    base_step becomes a fixed ladder shape whose depth, unless given, is
-    the smallest that spans the horizon. psi0 is the configured state; a
+    microcanonical state needs them, else None. ladders holds the exact
+    eigenbasis propagators of one build_sector_ladders call, whose model
+    sector reuses eig, so without eig only that build diagonalizes; the
+    propagation block picks their lattice, and propagation.horizon can only
+    widen the stage's own horizon. psi0 is the configured state; a
     microcanonical one is the window state of eig.
     """
     block = cfg["initial_state"]
@@ -520,23 +506,13 @@ def _model_sector(cfg: dict, outdir: Path, horizon: float, neighbors: bool,
         horizon = max(horizon, prop["horizon"])
     dim = sector_dimension(params.num_modes,
                            params.num_particles + int(neighbors))
-    # validated models passed the sector-dimension cap, so size the rung
-    # guard to the largest sector instead of refusing large sectors outright
-    shape = {"taylor_order": prop["taylor_order"],
-             "branching": prop["branching"],
-             "max_rung_bytes": max(2 ** 31, 16 * dim * dim)}
-    config = None
-    if prop["base_step"] != "auto":
-        depth = prop["depth"]
-        if depth is None:
-            depth = _depth_for_horizon(prop["base_step"], prop["branching"],
-                                       horizon)
-        config = PropagatorConfig(base_step=prop["base_step"], depth=depth,
-                                  **shape)
+    # validated models passed the sector-dimension cap, so size the
+    # one-matrix guard to the largest sector instead of refusing large
+    # sectors outright
     ladders = build_sector_ladders(params, horizon, tau_step=tau_step,
                                    target_error=prop["target_error"],
-                                   neighbors=neighbors, config=config,
-                                   center=eig, **shape)
+                                   neighbors=neighbors, center=eig,
+                                   max_rung_bytes=max(2 ** 31, 16 * dim * dim))
     if block["kind"] == "occupation":
         psi0 = occupation_state(ladders.center.basis, block["occupation"])
     else:

@@ -53,10 +53,12 @@ def test_config_problems_exit_two(tmp_path, capsys):
 
 def test_numerics_problems_exit_three(tmp_path, capsys):
     cfg = rabi_config(tmp_path / "out")
-    # a base step far beyond the stability rule for these couplings
-    cfg["propagation"] = {"base_step": 5.0, "depth": 2}
-    assert main(["run", write_config(tmp_path / "big.json", cfg)]) == 3
-    assert "numerics error" in capsys.readouterr().err
+    # the two levels sit at -1 and +1, so the window holds none of them
+    cfg["initial_state"] = {"kind": "microcanonical", "window": [5.0, 6.0]}
+    cfg["stages"] = ["build-spectrum", "evolve"]
+    assert main(["run", write_config(tmp_path / "empty.json", cfg)]) == 3
+    err = capsys.readouterr().err
+    assert "numerics error: no levels in [5.0, 6.0]" in err
     # the failure still left a manifest behind
     manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
     assert manifest["stages"]["evolve"]["status"] == "failed"
@@ -70,6 +72,16 @@ def test_greens_pair_and_time_override(tmp_path):
     assert index["green_pairs"] == [[0, 1]]
     assert (tmp_path / "out" / "green_lesser_0_1_t0.csv").exists()
     assert main(["greens", config, "--pair", "zero,one"]) == 2
+
+
+@pytest.mark.parametrize("measurement", [None, []], ids=["null", "list"])
+def test_greens_overrides_need_a_measurement_object(tmp_path, capsys,
+                                                    measurement):
+    cfg = rabi_config(tmp_path / "out")
+    cfg["measurement"] = measurement
+    config = write_config(tmp_path / "run.json", cfg)
+    assert main(["greens", config, "--pair", "0,1", "--time", "1.5"]) == 2
+    assert "measurement must be an object" in capsys.readouterr().err
 
 
 def test_single_stage_commands(tmp_path):
@@ -163,6 +175,24 @@ def test_fit_rejects_bad_tables(tmp_path):
     assert main(["fit", str(narrow), "--model", "bose"]) == 2
 
 
+def test_fit_bose_refuses_a_non_positive_energy(tmp_path, capsys):
+    table = tmp_path / "occ.csv"
+    write_csv(table, ["E_over_J", "occupation"],
+              [[0.0, 1.0, 2.0], [3.0, 0.5, 0.2]])
+    assert main(["fit", str(table), "--model", "bose"]) == 2
+    assert "energies must be positive" in capsys.readouterr().err
+
+
+def test_fit_fdt_refuses_a_reversed_window(tmp_path, capsys):
+    energies = np.linspace(-10.0, 10.0, 41)
+    table = tmp_path / "pair.csv"
+    write_csv(table, ["E_over_J", "forward", "reversed"],
+              [energies, np.exp(0.1 * energies), np.exp(-0.1 * energies)])
+    assert main(["fit", str(table), "--model", "fdt",
+                 "--window", "5", "1"]) == 2
+    assert "window must be ordered" in capsys.readouterr().err
+
+
 def test_greens_without_particles_exits_two(tmp_path, capsys):
     cfg = {
         "model": {"num_modes": 3, "num_particles": 0},
@@ -174,27 +204,22 @@ def test_greens_without_particles_exits_two(tmp_path, capsys):
         "output_dir": str(tmp_path / "out"),
     }
     assert main(["run", write_config(tmp_path / "auto.json", cfg)]) == 2
-    cfg["propagation"] = {"base_step": 0.01}
-    assert main(["run", write_config(tmp_path / "fixed.json", cfg)]) == 2
     assert "num_particles" in capsys.readouterr().err
 
 
-def test_depth_without_fixed_step_exits_two(tmp_path, capsys):
+@pytest.mark.parametrize("key", ["base_step", "taylor_order", "branching",
+                                 "depth"])
+def test_taylor_ladder_keys_exit_two(tmp_path, capsys, key):
+    # a run propagates exactly in the eigenbasis, so the Taylor ladder's
+    # shape is no setting of its propagation block
+    value = {"base_step": 0.001, "taylor_order": 4, "branching": 2,
+             "depth": 4}[key]
     cfg = rabi_config(tmp_path / "out")
-    cfg["propagation"] = {"depth": 4}
-    assert main(["run", write_config(tmp_path / "depth.json", cfg)]) == 2
-    assert "propagation.depth" in capsys.readouterr().err
-
-
-def test_greens_base_step_off_the_tau_lattice_exits_two(tmp_path, capsys):
-    # half the tau step, 0.05, is no whole number of base steps; the config
-    # is refused before any ladder is built
-    cfg = rabi_config(tmp_path / "out")
-    cfg["propagation"] = {"base_step": 0.0015}
-    config = write_config(tmp_path / "off.json", cfg)
-    assert main(["greens", config, "--time", "1.0"]) == 2
-    assert "propagation.base_step" in capsys.readouterr().err
-    assert not list((tmp_path / "out").glob("green_*.csv"))
+    cfg["propagation"] = {key: value}
+    config = write_config(tmp_path / "ladder.json", cfg)
+    assert main(["run", config]) == 2
+    assert f"unknown key '{key}' in propagation" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_greens_walks_beyond_the_centre_time_horizon(tmp_path):

@@ -1,5 +1,7 @@
 """Two-time correlator checks against dense Heisenberg-picture oracles."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -57,12 +59,20 @@ def small_setup():
     return ladders, psi0
 
 
+def ladder_sectors(params, config) -> SectorLadders:
+    """Taylor ladders for the N - 1, N and N + 1 sectors on one lattice."""
+    n = params.num_particles
+    lower, center, upper = (build_ladder(build_hamiltonian(
+        dataclasses.replace(params, num_particles=m)), config)
+        for m in (n - 1, n, n + 1))
+    return SectorLadders(center=center, lower=lower, upper=upper)
+
+
 @pytest.fixture(scope="module")
 def ladder_setup(small_setup):
     """Taylor ladders on the lattice of small_setup's eigen propagators."""
     eigen, psi0 = small_setup
-    return build_sector_ladders(PARAMS_M3N2, horizon=8.0,
-                                config=eigen.center.config), psi0
+    return ladder_sectors(PARAMS_M3N2, eigen.center.config), psi0
 
 
 def test_tau_grid_is_symmetric_and_uniform():
@@ -437,8 +447,7 @@ def test_eigen_sectors_match_ladder_sectors_at_six_particles():
                                level_spacing=10.0, hopping=1.0,
                                u_intra=1.0, u_inter=0.1)
     eigen = build_sector_ladders(params, horizon=3.0, tau_step=0.5)
-    ladders = build_sector_ladders(params, horizon=3.0,
-                                   config=eigen.center.config)
+    ladders = ladder_sectors(params, eigen.center.config)
     psi0 = random_state(eigen.center.basis, seed=19)
     tau = tau_grid(1.0, 0.5)
     got = single_particle_correlator_set(psi0, eigen, [(0, 0), (3, 1)], 2.0,

@@ -210,8 +210,8 @@ def test_advance_columns_matches_per_column_advance():
         walked = advance_columns(ladder, block, steps)
         for col, count in enumerate(steps):
             alone = ladder.advance(block[:, col], count)
-            assert np.abs(walked[:, col] - alone).max() < 1e-12
-        assert np.abs(walked[:, 0] - block[:, 0]).max() == 0.0
+            assert np.array_equal(walked[:, col], alone)
+        assert np.array_equal(walked[:, 0], block[:, 0])
 
 
 def test_advance_columns_walks_a_block_wider_than_the_sector():

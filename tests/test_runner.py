@@ -1,6 +1,5 @@
 """Pipeline tests: validation, determinism, stage wiring, artifacts."""
 
-import dataclasses
 import json
 from pathlib import Path
 
@@ -49,7 +48,7 @@ def test_validate_config_applies_defaults(tmp_path):
                           stages=["build-spectrum"])
     assert cfg["model"]["level_spacing"] == 10.0
     assert cfg["model"]["u_inter"] == 0.1
-    assert cfg["propagation"]["base_step"] == "auto"
+    assert cfg["propagation"] == {"target_error": 1e-8, "horizon": None}
     assert cfg["measurement"]["green_pairs"] == [[0, 0], [1, 1], [2, 2]]
     assert cfg["measurement"]["window"] == "hann"
     assert cfg["stages"] == list(STAGES)
@@ -77,11 +76,6 @@ def test_validate_config_applies_defaults(tmp_path):
                                 "spacing": "cubic"}}}, "spacing"),
     ({"model": {"num_modes": 3, "num_particles": 2, "hopping": 10 ** 400}},
      "hopping"),
-    # half the tau step, 0.05, is no whole number of base steps
-    ({"stages": ["greens"], "propagation": {"base_step": 0.00015},
-      "initial_state": {"kind": "occupation", "occupation": [2, 0, 0]},
-      "measurement": {"com_times": [1.0], "tau_step": 0.1}},
-     "propagation.base_step"),
 ])
 def test_validate_config_rejects(tmp_path, patch, fragment):
     raw = {"model": {"num_modes": 3, "num_particles": 2},
@@ -310,9 +304,7 @@ def test_validate_config_reads_every_key(tmp_path):
     raw = {
         "model": {"num_modes": 4, "num_particles": 3, "level_spacing": 7.5,
                   "hopping": 0.5, "u_intra": 2.0, "u_inter": 0.3},
-        "propagation": {"base_step": 0.002, "target_error": 1e-6,
-                        "taylor_order": 6, "branching": 3, "depth": 9,
-                        "horizon": 50},
+        "propagation": {"target_error": 1e-6, "horizon": 50},
         "initial_state": {"kind": "microcanonical", "window": [20, 40.0],
                           "random_phases": True},
         "measurement": {"system_modes": [2, 3], "observables": ["entropy"],
@@ -335,9 +327,7 @@ def test_validate_config_reads_every_key(tmp_path):
     expected = {
         "model": {"num_modes": 4, "num_particles": 3, "level_spacing": 7.5,
                   "hopping": 0.5, "u_intra": 2.0, "u_inter": 0.3},
-        "propagation": {"base_step": 0.002, "target_error": 1e-6,
-                        "taylor_order": 6, "branching": 3, "depth": 9,
-                        "horizon": 50.0},
+        "propagation": {"target_error": 1e-6, "horizon": 50.0},
         "initial_state": {"kind": "microcanonical", "window": [20.0, 40.0],
                           "random_phases": True},
         "measurement": {"system_modes": [2, 3], "observables": ["entropy"],
@@ -374,47 +364,20 @@ def test_validate_config_names_the_com_times_field(tmp_path):
     assert "com_times.t" not in str(info.value)
 
 
-def test_greens_stage_with_fixed_step_matches_direct_ladders(tmp_path):
-    outdir = tmp_path / "out"
-    cfg = small_quench_config(outdir)
-    # obeys dt * max|H| <= 0.1 and divides tau_step / 2
-    cfg["propagation"] = {"base_step": 0.001}
-    manifest = run(cfg, stages=["greens"])
-    # (2^12 - 1) * 0.001 is the first span to cover the horizon 3.1
-    assert manifest["stages"]["greens"]["diagnostics"]["depth"] == 11
-
-    params = HamiltonianParams(3, 2, 10.0, 1.0, 1.0, 0.1)
-    shape = PropagatorConfig(base_step=0.001, depth=11)
-    ladders = {n: build_ladder(build_hamiltonian(
-        dataclasses.replace(params, num_particles=n)), shape)
-        for n in (1, 2, 3)}
-    sectors = SectorLadders(center=ladders[2], lower=ladders[1],
-                            upper=ladders[3])
-    psi0 = occupation_state(sectors.center.basis, (2, 0, 0))
-    tau = tau_grid(2.0, 0.1)
-    lesser, _ = single_particle_correlators(psi0, sectors, (0, 0), 2.0, tau)
-    spec = to_energy(lesser, np.linspace(-5.0, 25.0, 121), window="hann")
-
-    cols = read_csv(outdir / "green_lesser_0_0_t0.csv")
-    stored = cols["re"] + 1j * cols["im"]
-    assert np.abs(stored - spec.values).max() < 1e-15
-
-
-def test_evolve_stage_picks_its_propagator_by_base_step(tmp_path,
-                                                        monkeypatch):
+def test_evolve_stage_propagates_in_the_eigenbasis(tmp_path, monkeypatch):
     import bosetherm.correlators as correlators
 
     built = []
-    for name in ("build_ladder", "build_eigen_propagator"):
-        real = getattr(correlators, name)
-        monkeypatch.setattr(correlators, name, lambda op, cfg, *held,
-                            real=real, name=name:
-                            built.append(name) or real(op, cfg, *held))
+    real = correlators.build_eigen_propagator
+    monkeypatch.setattr(correlators, "build_eigen_propagator",
+                        lambda op, cfg, *held:
+                        built.append(op.basis.num_particles)
+                        or real(op, cfg, *held))
 
     cfg = rabi_config(tmp_path / "auto")
     cfg["stages"] = ["build-spectrum", "evolve"]
     manifest = run(cfg)
-    assert built == ["build_eigen_propagator"]
+    assert built == [1]
     assert np.load(tmp_path / "auto" / "eigenvectors.npy").dtype == \
         np.float64
     # the automatic step still sets the lattice the times snap to
@@ -426,16 +389,10 @@ def test_evolve_stage_picks_its_propagator_by_base_step(tmp_path,
     cols = read_csv(tmp_path / "auto" / "occupations.csv")
     assert np.abs(cols["n_1"] - np.sin(cols["Jt"]) ** 2).max() < 1e-12
 
-    built.clear()
-    cfg = rabi_config(tmp_path / "fixed")
-    cfg["propagation"] = {"base_step": 0.001}
-    manifest = run(cfg)
-    assert built == ["build_ladder"]
-    assert manifest["stages"]["evolve"]["diagnostics"]["base_step"] == 0.001
 
-
+# a longer horizon gives a finer lattice, and the times snap to it
 @pytest.mark.parametrize("propagation, tol", [({}, 1e-12),
-                                               ({"base_step": 2e-4}, 1e-6)])
+                                               ({"horizon": 400.0}, 1e-12)])
 def test_evolve_stage_matches_exact_evolution_at_the_snapped_times(
         tmp_path, propagation, tol):
     # 25 times in a sector of dimension 6: the time block is wider than dim
@@ -461,16 +418,21 @@ def test_evolve_stage_matches_exact_evolution_at_the_snapped_times(
         assert abs(entropy["entropy"][k] - entanglement_entropy(rdm)) < tol
 
 
-def test_evolve_drift_diagnostics_match_the_ladder_states(tmp_path):
-    # a Taylor ladder is unitary only up to truncation, so at this step and
-    # horizon both drifts stand well above rounding
+def test_evolve_drift_diagnostics_match_the_ladder_states(tmp_path,
+                                                        monkeypatch):
+    import bosetherm.runner as runner
+
+    # the stage measures its drifts on the states it propagated; a Taylor
+    # ladder is unitary only up to truncation, so at this step and horizon
+    # both drifts stand well above rounding
+    op = build_hamiltonian(HamiltonianParams(3, 2, 10.0, 1.0, 1.0, 0.1))
+    ladder = build_ladder(op, PropagatorConfig(base_step=2e-3, depth=14))
+    monkeypatch.setattr(runner, "build_sector_ladders",
+                        lambda *args, **kwargs: SectorLadders(center=ladder))
     cfg = small_quench_config(tmp_path / "out")
-    cfg["propagation"] = {"base_step": 2e-3}
     cfg["stages"] = ["evolve"]
     diag = run(cfg)["stages"]["evolve"]["diagnostics"]
-    op = build_hamiltonian(HamiltonianParams(3, 2, 10.0, 1.0, 1.0, 0.1))
-    ladder = build_ladder(op, PropagatorConfig(base_step=diag["base_step"],
-                                               depth=diag["depth"]))
+    assert (diag["base_step"], diag["depth"]) == (2e-3, 14)
     psi0 = occupation_state(op.basis, [2, 0, 0]).amplitudes
     jt = read_csv(tmp_path / "out" / "occupations.csv")["Jt"]
     states = [StateVector(op.basis, ladder.advance(
@@ -552,7 +514,8 @@ def test_thermometry_keeps_unphysical_levels_out_of_the_fit(tmp_path):
     assert record["bose"]["temperature"] == want.temperature
 
 
-@pytest.mark.parametrize("propagation", [{}, {"base_step": 0.001}])
+# a longer horizon deepens the lattice's span but adds no bytes
+@pytest.mark.parametrize("propagation", [{}, {"horizon": 1000.0}])
 def test_stage_diagnostics_record_the_propagator_bytes(tmp_path,
                                                        propagation):
     cfg = small_quench_config(tmp_path / "out")
@@ -560,12 +523,9 @@ def test_stage_diagnostics_record_the_propagator_bytes(tmp_path,
     manifest = run(cfg, stages=["evolve", "greens"])
     for stage, sectors in (("evolve", [2]), ("greens", [1, 2, 3])):
         diag = manifest["stages"][stage]["diagnostics"]
-        # real eigenvectors and energies, or depth + 1 packed rungs, each
-        # 8 d (d + 1) bytes
-        copies = diag["depth"] + 1 if propagation else 1
+        # real eigenvectors and energies, 8 d (d + 1) bytes per sector
         dims = [sector_dimension(3, n) for n in sectors]
-        assert diag["propagator_bytes"] == sum(
-            copies * 8 * d * (d + 1) for d in dims)
+        assert diag["propagator_bytes"] == sum(8 * d * (d + 1) for d in dims)
 
 
 def test_thermometry_records_the_warnings_of_its_fits(tmp_path):
