@@ -192,10 +192,14 @@ def build_sector_ladders(params, horizon: float, tau_step: float | None = None,
     cfgs = [choose_base_step(ops[n], horizon, target_error=target_error,
                              align_to=align, **config_kwargs)
             for n in counts]
-    # min of aligned steps is still an integer divisor of the alignment
+    # min of aligned steps is still an integer divisor of the alignment; the
+    # config records the highest sector order, which the eigen propagators
+    # do not use
     dt = min(c.base_step for c in cfgs)
     depth = _depth_for_horizon(dt, cfgs[0].branching, horizon)
-    config = dataclasses.replace(cfgs[0], base_step=dt, depth=depth)
+    config = dataclasses.replace(
+        cfgs[0], base_step=dt, depth=depth,
+        taylor_order=max(c.taylor_order for c in cfgs))
     held = {params.num_particles: center}
     ladders = {n: build_eigen_propagator(ops[n], config, held.get(n))
                for n in counts}

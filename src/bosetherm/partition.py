@@ -107,42 +107,57 @@ def build_partition(basis: FockBasis, system_modes) -> PartitionMap:
     return PartitionMap(basis, system_modes)
 
 
-@dataclass
 class ReducedDensityMatrix:
     """System-side density matrix over the partition's configurations.
 
     ``coefficients`` holds each block's size x reservoir coefficient matrix
     when the matrix came from a pure state; it is None for a matrix given
-    directly.
+    directly. From coefficients, the dense ``matrix`` is formed on first
+    access, each block as C C^dagger; a block asked for before that is
+    formed alone.
     """
 
-    partition: PartitionMap
-    matrix: np.ndarray
-    coefficients: list[np.ndarray] | None = None
+    def __init__(self, partition: PartitionMap,
+                 matrix: np.ndarray | None = None,
+                 coefficients: list[np.ndarray] | None = None):
+        if matrix is None and coefficients is None:
+            raise ValueError("need a matrix or block coefficients")
+        self.partition = partition
+        self.coefficients = coefficients
+        self._matrix = matrix
+
+    @property
+    def matrix(self) -> np.ndarray:
+        if self._matrix is None:
+            size = self.partition.system_size
+            rho = np.zeros((size, size), dtype=np.complex128)
+            for b, coeff in zip(self.partition.blocks, self.coefficients):
+                sl = slice(b.offset, b.offset + b.size)
+                rho[sl, sl] = coeff @ coeff.conj().T
+            self._matrix = rho
+        return self._matrix
 
     def block(self, index: int) -> np.ndarray:
+        if self._matrix is None:
+            coeff = self.coefficients[index]
+            return coeff @ coeff.conj().T
         b = self.partition.blocks[index]
         sl = slice(b.offset, b.offset + b.size)
-        return self.matrix[sl, sl]
+        return self._matrix[sl, sl]
 
     def trace(self) -> float:
         return float(np.trace(self.matrix).real)
 
 
 def reduced_density(state: StateVector, pm: PartitionMap) -> ReducedDensityMatrix:
-    """Trace out the reservoir modes of a pure state."""
+    """Trace out the reservoir modes of a pure state: the block
+    coefficients, from which the dense matrix is formed when asked for."""
     if state.basis is not pm.basis:
         raise SectorMismatchError("state sector does not match the partition")
     flat = state.amplitudes[pm._gather]
-    rho = np.zeros((pm.system_size, pm.system_size), dtype=np.complex128)
-    coeffs = []
-    for b, start in zip(pm.blocks, pm._starts):
-        coeff = flat[start:start + b.size * b.reservoir_size].reshape(
-            b.size, b.reservoir_size)
-        sl = slice(b.offset, b.offset + b.size)
-        rho[sl, sl] = coeff @ coeff.conj().T
-        coeffs.append(coeff)
-    return ReducedDensityMatrix(pm, rho, coeffs)
+    coeffs = [flat[start:start + b.size * b.reservoir_size].reshape(
+        b.size, b.reservoir_size) for b, start in zip(pm.blocks, pm._starts)]
+    return ReducedDensityMatrix(pm, coefficients=coeffs)
 
 
 def entanglement_entropy(rdm: ReducedDensityMatrix) -> float:
@@ -157,11 +172,11 @@ def entanglement_entropy(rdm: ReducedDensityMatrix) -> float:
     """
     grams = []
     for bi, b in enumerate(rdm.partition.blocks):
-        block = rdm.block(bi)
         if rdm.coefficients is None:
+            block = rdm.block(bi)
             grams.append((block + block.conj().T) / 2.0)
         elif b.size <= b.reservoir_size:
-            grams.append(block)
+            grams.append(rdm.block(bi))
         else:
             coeff = rdm.coefficients[bi]
             grams.append(coeff.conj().T @ coeff)

@@ -1,8 +1,9 @@
 """Long-horizon propagation on a lattice of base steps, two ways.
 
 PropagatorConfig fixes the lattice: times m * dt for |m| up to the span of
-a ladder of the given depth. choose_base_step picks dt from the Taylor
-error model below and the smallest depth whose span reaches the horizon.
+a ladder of the given depth. choose_base_step picks the Taylor order and
+dt together from the error model below, and the smallest depth whose span
+reaches the horizon.
 Both propagators subclass Propagator, which owns that lattice, snap() and
 the one span check, so snapped times and span errors do not depend on which
 one runs. advance moves one vector (or one block sharing a step count);
@@ -17,10 +18,15 @@ any lattice time m * dt is reached with O(log m) rung applies via the base-n
 digits of m. advance walks by matrix-vector products, and the column walk
 is advance on each column in turn. Negative times use the adjoint
 rungs, which is exact for unitaries up to the Taylor truncation. Truncation
-errors add up over the effective number of base steps, so the base step
-must shrink with the horizon: choose_base_step picks dt from
-horizon * rho^(k+1) * dt^k / (k+1)! <= target (rho estimated by power
-iteration) intersected with the max-element rule above. When H is real
+errors add up over the effective number of base steps, so at a fixed order
+the step must shrink with the horizon: horizon * rho^(k+1) * dt^k / (k+1)!
+<= target (rho estimated by power iteration). choose_base_step raises the
+order k from 4 until that accuracy step reaches the max-element rule above
+(up to a cap of 16), and takes dt as the smaller of the two, so long
+horizons step at the rule and need fewer rungs and rung applies. Rounding
+sets a floor under the truncation: a walk to time m * dt carries about
+machine epsilon times m, so the error grows with the number of base steps
+and a step shorter than the budget needs only raises it. When H is real
 symmetric (every model sector), every rung is a polynomial in H and so
 complex symmetric (U^T = U): the ladder keeps each as its packed upper
 triangle, one row of a (depth + 1, d(d+1)/2) complex array, squares it with
@@ -54,6 +60,10 @@ from .fock import StateVector
 from .hamiltonian import EigenSystem, SectorOperator, diagonalize
 
 MAX_STEP_FACTOR = 0.1
+# the Taylor orders choose_base_step picks from: the lowest it starts at,
+# and the cap it stops at when no order's accuracy step reaches the rule
+MIN_TAYLOR_ORDER = 4
+MAX_TAYLOR_ORDER = 16
 # rows of a work matrix multiplied at a time when a packed ladder with
 # branching > 2 multiplies in place
 PRODUCT_ROWS = 64
@@ -70,7 +80,7 @@ class PropagatorConfig:
 
     base_step: float
     depth: int
-    taylor_order: int = 4
+    taylor_order: int = MIN_TAYLOR_ORDER
     branching: int = 2
     max_rung_bytes: int = 2**31
 
@@ -435,16 +445,30 @@ def _depth_for_horizon(dt: float, branching: int, horizon: float) -> int:
     return depth
 
 
+def _accuracy_step(order: int, rho: float, horizon: float,
+                   target_error: float) -> float:
+    """Largest dt with horizon * rho^(k+1) * dt^k / (k+1)! <= target."""
+    return (target_error * math.factorial(order + 1)
+            / (horizon * rho ** (order + 1))) ** (1.0 / order)
+
+
 def choose_base_step(op: SectorOperator, horizon: float,
                      target_error: float = 1e-8,
-                     taylor_order: int = 4,
                      branching: int = 2,
                      align_to: float | None = None,
                      **config_kwargs) -> PropagatorConfig:
-    """Pick a base step and depth for a given horizon and error budget.
+    """Pick a Taylor order, base step and depth for a horizon and error
+    budget.
 
     The error model is horizon * rho^(k+1) * dt^k / (k+1)! for Taylor order
-    k, intersected with the hard rule dt * max|H| <= 0.1. align_to forces dt
+    k, intersected with the hard rule dt * max|H| <= 0.1. The order is the
+    smallest k >= MIN_TAYLOR_ORDER whose accuracy step reaches the rule,
+    or MAX_TAYLOR_ORDER when none up to it does; dt is the smaller of the
+    rule and that order's accuracy step. A higher order costs a few more
+    products in the base step only, while the longer step takes fewer
+    squarings and fewer rung applies per time. It also keeps the rounding
+    floor low: each rung carries about machine epsilon times its number of
+    base steps, so that floor grows as horizon / dt. align_to forces dt
     into an integer divisor of that interval so external grids stay on the
     lattice.
     """
@@ -454,19 +478,20 @@ def choose_base_step(op: SectorOperator, horizon: float,
         raise ValueError("target_error must sit in (0, 1)")
     a = op.max_element()
     rho = estimate_spectral_radius(op.matrix)
+    order = MIN_TAYLOR_ORDER
     if a == 0.0 or rho == 0.0:
         dt = horizon if align_to is None else align_to
     else:
         dt_rule = MAX_STEP_FACTOR / a
-        k = taylor_order
-        dt_acc = (target_error * math.factorial(k + 1)
-                  / (horizon * rho ** (k + 1))) ** (1.0 / k)
-        dt = min(dt_rule, dt_acc)
+        while (order < MAX_TAYLOR_ORDER and _accuracy_step(
+                order, rho, horizon, target_error) < dt_rule):
+            order += 1
+        dt = min(dt_rule, _accuracy_step(order, rho, horizon, target_error))
     if align_to is not None:
         if not (np.isfinite(align_to) and align_to > 0):
             raise ValueError("align_to must be positive and finite")
         dt = align_to / math.ceil(align_to / dt)
     return PropagatorConfig(base_step=dt,
                             depth=_depth_for_horizon(dt, branching, horizon),
-                            taylor_order=taylor_order, branching=branching,
+                            taylor_order=order, branching=branching,
                             **config_kwargs)

@@ -572,6 +572,7 @@ def _stage_evolve(cfg: dict, outdir: Path):
         "dimension": basis.dim,
         "base_step": ladder.base_step,
         "depth": ladder.config.depth,
+        "taylor_order": ladder.config.taylor_order,
         "propagator_bytes": ladders.nbytes,
         "snap_defect": float(np.abs(times - snapped).max()),
         "norm_drift": float(np.abs(norms - 1.0).max()),
@@ -675,6 +676,7 @@ def _stage_greens(cfg: dict, outdir: Path):
 
     diag = {"base_step": ladders.center.base_step,
             "depth": ladders.center.config.depth,
+            "taylor_order": ladders.center.config.taylor_order,
             "propagator_bytes": ladders.nbytes,
             "com_times": [e["com_time"] for e in entries]}
     if green_pairs:

@@ -93,6 +93,23 @@ def test_reduced_density_is_bit_equal_to_the_scatter(modes, particles,
         (b.size, b.reservoir_size) for b in pm.blocks]
 
 
+def test_entropy_does_not_form_the_dense_matrix(monkeypatch):
+    basis = enumerate_basis(5, 6)
+    pm = build_partition(basis, (2, 3, 4))
+    psi = random_state(basis, 4)
+    lazy = reduced_density(psi, pm)
+    formed = reduced_density(psi, pm)
+    dense = formed.matrix
+    monkeypatch.setattr(ReducedDensityMatrix, "matrix", property(
+        lambda rdm: pytest.fail("the entropy formed the dense matrix")))
+    # blocks from the coefficients equal the slices of the formed matrix
+    for bi in range(len(pm.blocks)):
+        assert lazy.block(bi).tobytes() == formed.block(bi).tobytes()
+    assert entanglement_entropy(lazy) == entanglement_entropy(formed)
+    monkeypatch.undo()
+    assert lazy.matrix.tobytes() == dense.tobytes()
+
+
 def test_trace_is_one():
     basis = enumerate_basis(4, 5)
     pm = build_partition(basis, (0, 2))

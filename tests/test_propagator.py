@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 import scipy.linalg as sla
 
 import oracles
-from bosetherm import StateVector, enumerate_basis
+from bosetherm import StateVector, enumerate_basis, occupation_state
 from bosetherm.errors import (
     CapacityError,
     IntegrityError,
@@ -20,6 +21,9 @@ from bosetherm.hamiltonian import (
     diagonalize,
 )
 from bosetherm.propagator import (
+    MAX_STEP_FACTOR,
+    MAX_TAYLOR_ORDER,
+    MIN_TAYLOR_ORDER,
     EigenPropagator,
     PropagatorConfig,
     advance_columns,
@@ -170,7 +174,9 @@ def test_forward_then_backward_is_identity():
         cfg = choose_base_step(op, horizon=100.0)
         ladder = build_ladder(op, cfg)
         v = random_unit(30, rng)
-        back = ladder.advance(ladder.advance(v, 12345), -12345)
+        # all rungs but one, forward and back
+        m = ladder.max_steps - 2
+        back = ladder.advance(ladder.advance(v, m), -m)
         assert np.abs(back - v).max() < 1e-7
 
 
@@ -181,8 +187,9 @@ def test_advance_composes():
         cfg = choose_base_step(op, horizon=30.0)
         ladder = build_ladder(op, cfg)
         v = random_unit(25, rng)
-        both = ladder.advance(v, 700 + 41)
-        split = ladder.advance(ladder.advance(v, 700), 41)
+        # 200 + 41 sets other digits than 200 and 41 do, within 255 steps
+        both = ladder.advance(v, 200 + 41)
+        split = ladder.advance(ladder.advance(v, 200), 41)
         assert np.abs(both - split).max() < 1e-12
 
 
@@ -192,9 +199,11 @@ def test_advance_handles_matrix_columns():
         op = random_generator(kind, 20, rng)
         ladder = build_ladder(op, choose_base_step(op, horizon=5.0))
         block = rng.normal(size=(20, 3)) + 1j * rng.normal(size=(20, 3))
-        together = ladder.advance(block, -250)
+        # three rungs of a five-rung ladder, backward
+        m = -(ladder.max_steps - 6)
+        together = ladder.advance(block, m)
         for col in range(3):
-            alone = ladder.advance(block[:, col], -250)
+            alone = ladder.advance(block[:, col], m)
             assert np.abs(together[:, col] - alone).max() < 1e-12
 
 
@@ -314,6 +323,66 @@ def test_choose_base_step_alignment():
     assert cfg.span >= 100.0
 
 
+def taylor_error(order, step, rho, horizon):
+    """The truncation model choose_base_step holds to its target."""
+    return horizon * rho ** (order + 1) * step ** order / math.factorial(
+        order + 1)
+
+
+# the quench-like long horizons need orders above 4, the last case none up
+# to the cap reaches the rule
+@pytest.mark.parametrize("sector, horizon, target", [
+    ((5, 4), 1000.0, 1e-8), ((5, 6), 1000.0, 1e-8), ((3, 2), 107.0, 1e-6),
+    ((3, 2), 10.0, 1e-100)])
+def test_choose_base_step_takes_the_lowest_order_that_reaches_the_rule(
+        sector, horizon, target):
+    op = model_op(*sector)
+    cfg = choose_base_step(op, horizon, target_error=target)
+    rho = estimate_spectral_radius(op.matrix)
+    rule = MAX_STEP_FACTOR / op.max_element()
+    order = cfg.taylor_order
+    assert MIN_TAYLOR_ORDER < order <= MAX_TAYLOR_ORDER
+    assert cfg.base_step <= rule
+    assert taylor_error(order, cfg.base_step, rho, horizon) <= target * (
+        1.0 + 1e-9)
+    # one order lower misses the budget at the rule's step
+    assert taylor_error(order - 1, rule, rho, horizon) > target
+    if order < MAX_TAYLOR_ORDER:
+        assert cfg.base_step == rule
+    else:
+        assert cfg.base_step < rule
+    assert cfg.span >= horizon
+
+
+@pytest.mark.parametrize("horizon, target", [(1.0, 1e-3), (0.1, 1e-2)])
+def test_choose_base_step_keeps_order_four_where_it_reaches_the_rule(
+        horizon, target):
+    op = model_op(3, 2)
+    rho = estimate_spectral_radius(op.matrix)
+    rule = MAX_STEP_FACTOR / op.max_element()
+    assert taylor_error(4, rule, rho, horizon) <= target
+    depth = 0
+    while (2 ** (depth + 1) - 1) * rule < horizon:
+        depth += 1
+    assert choose_base_step(op, horizon, target_error=target) == \
+        PropagatorConfig(base_step=rule, depth=depth, taylor_order=4)
+
+
+def test_long_horizon_ladder_meets_its_target_error():
+    # a step far below the rule multiplies the rounding of the rungs: at
+    # order 4 this walk to t = 999.9 misses 1e-8 (2.2e-8)
+    op = model_op(5, 4)  # dim 70
+    target = 1e-8
+    ladder = build_ladder(op, choose_base_step(op, 1000.0,
+                                               target_error=target))
+    eig = diagonalize(op)
+    psi0 = occupation_state(op.basis, (4, 0, 0, 0, 0))
+    m, actual = ladder.snap(999.9)
+    want = oracles.exact_evolve(eig.energies, eig.vectors, psi0.amplitudes,
+                                actual)
+    assert np.abs(ladder.advance(psi0.amplitudes, m) - want).max() < target
+
+
 def test_trap_model_long_horizon_conservation():
     # small trap sector, energy measured against the eigensolver at Jt=500
     p = HamiltonianParams(num_modes=3, num_particles=3, level_spacing=10.0,
@@ -415,12 +484,12 @@ def test_eigen_propagator_keeps_the_ladder_lattice():
     assert prop.config is cfg
     assert (prop.base_step, prop.max_steps, prop.span) == \
         (ladder.base_step, ladder.max_steps, ladder.span)
-    for t in [0.0, 0.034, 7.77, -29.9]:
+    for t in [0.0, 0.0345, 7.77, -29.9]:
         assert prop.snap(t) == ladder.snap(t)
     with pytest.raises(UnreachableTimeError):
         prop.snap(2.0 * prop.span)
     with pytest.raises(UnreachableTimeError):
-        prop.snap(0.034, strict=True)
+        prop.snap(0.0345, strict=True)
     # the two agree to the ladder's own truncation (target_error 1e-8)
     psi0 = random_unit(op.basis.dim, np.random.default_rng(24))
     m, _ = prop.snap(29.0)

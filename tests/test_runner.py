@@ -176,6 +176,17 @@ def test_manifest_inventory_and_versions(tmp_path):
     assert greens["com_times"] == [
         round(t / greens["base_step"]) * greens["base_step"]
         for t in configured["com_times"]]
+    # each stage records the lattice with the Taylor order it was picked at:
+    # evolve for its largest time, greens for max|t| + tau_max/2 + tau_step
+    # on the tau_step/2 grid
+    params = HamiltonianParams(3, 2, 10.0, 1.0, 1.0, 0.1)
+    lattices = {"evolve": choose_base_step(build_hamiltonian(params), 40.0),
+                "greens": build_sector_ladders(params, 3.1,
+                                               tau_step=0.1).center.config}
+    for stage, diag in (("evolve", evolve), ("greens", greens)):
+        lattice = lattices[stage]
+        assert (diag["base_step"], diag["depth"], diag["taylor_order"]) == (
+            lattice.base_step, lattice.depth, lattice.taylor_order)
 
 
 def test_a_run_diagonalizes_each_sector_once(tmp_path, monkeypatch):
@@ -384,8 +395,8 @@ def test_evolve_stage_propagates_in_the_eigenbasis(tmp_path, monkeypatch):
     op = build_hamiltonian(HamiltonianParams(2, 1, 0.0, 1.0, 0.0, 0.0))
     lattice = choose_base_step(op, 6.0)
     diag = manifest["stages"]["evolve"]["diagnostics"]
-    assert (diag["base_step"], diag["depth"]) == (lattice.base_step,
-                                                  lattice.depth)
+    assert (diag["base_step"], diag["depth"], diag["taylor_order"]) == (
+        lattice.base_step, lattice.depth, lattice.taylor_order)
     cols = read_csv(tmp_path / "auto" / "occupations.csv")
     assert np.abs(cols["n_1"] - np.sin(cols["Jt"]) ** 2).max() < 1e-12
 
