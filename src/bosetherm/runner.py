@@ -407,10 +407,10 @@ def load_config(path) -> dict:
 
 def write_csv(path, names, columns) -> None:
     """Comma-separated columns at 17 significant digits."""
-    cols = [np.asarray(c, dtype=float) for c in columns]
+    cols = [np.asarray(c, dtype=float).tolist() for c in columns]
+    row_format = ",".join(["%.17g"] * len(cols))
     lines = [",".join(names)]
-    for row in zip(*cols):
-        lines.append(",".join(format(v, ".17g") for v in row))
+    lines.extend(row_format % row for row in zip(*cols))
     Path(path).write_text("\n".join(lines) + "\n")
 
 

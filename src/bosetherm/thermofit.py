@@ -11,13 +11,19 @@ pipeline:
     f(E) = dtau sum w C exp(+i E tau), which fixes beta by weighted linear
     regression.
 
-All nonlinear fits run scipy's least_squares on log-reparametrized positive
-parameters, with a few deterministic restarts. The Lorentzian and
-bi-exponential fits pass analytic Jacobians, so their standard errors come
-from the exact Jacobian at the solution. Each Lorentzian peak is written in
-min(1, g) and min(1, 1/g), so no trial log-width overflows, and the
-bi-exponential sums its terms as logarithms. A residual or Jacobian that is
-not finite all the same raises FitConvergenceError.
+All nonlinear fits minimize their squared residuals with the trust-region
+reflective method without bounds (Branch, Coleman and Li, SIAM J. Sci.
+Comput. 21, 1, 1999), each step solved from one SVD of the Jacobian as in
+More (Lecture Notes in Math. 630, 1977). ``_trust_region_fit`` is a port of
+the one path of scipy's least_squares the package uses, and gives the same
+bytes; it keeps ``scipy.optimize`` out of the process. The fits work on
+log-reparametrized positive parameters, with a few deterministic restarts.
+The Lorentzian and bi-exponential fits pass analytic Jacobians, so their
+standard errors come from the exact Jacobian at the solution. Each
+Lorentzian peak is written in min(1, g) and min(1, 1/g), so no trial
+log-width overflows, and the bi-exponential sums its terms as logarithms. A
+residual or Jacobian that is not finite all the same raises
+FitConvergenceError.
 """
 
 from __future__ import annotations
@@ -28,7 +34,8 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import least_squares
+from numpy.linalg import norm
+from scipy.linalg import svd
 
 from .correlators import (CorrelatorSpectrum, _phase_kernel, tau_grid,
                           window_values)
@@ -113,21 +120,194 @@ def _covariance(result) -> np.ndarray:
     return inv * variance
 
 
-def _least_squares(what: str, fun, x0: np.ndarray, jac="2-point", **kwargs):
-    """scipy's least_squares, with a non-finite residual or Jacobian raised as
-    FitConvergenceError rather than scipy's ValueError."""
-    def finite(f):
-        def checked(p):
-            out = f(p)
-            if not np.all(np.isfinite(out)):
-                raise FitConvergenceError(
-                    f"{what} fit met a non-finite residual or Jacobian at "
-                    f"parameters {np.array2string(p, precision=3)}")
-            return out
-        return checked
-    if callable(jac):
-        jac = finite(jac)
-    return least_squares(finite(fun), x0, jac=jac, **kwargs)
+@dataclass(frozen=True)
+class _FitResult:
+    """Where a trust-region fit stopped: parameters, half the squared
+    residual, the Jacobian there, and scipy's status code (0 once the
+    evaluation budget is spent, 1-4 for the tolerance that was met)."""
+
+    x: np.ndarray
+    cost: float
+    jac: np.ndarray
+    status: int
+    nfev: int
+
+    @property
+    def success(self) -> bool:
+        return self.status > 0
+
+
+_EPS = np.finfo(float).eps
+
+
+def _trust_region_fit(what: str, fun, x0: np.ndarray, jac=None, *,
+                      max_nfev: int, gtol: float,
+                      jac_scale: bool = False) -> _FitResult:
+    """Unbounded trust-region least squares of the residuals fun(x).
+
+    A step-for-step port of scipy's least_squares (BSD-3-Clause, Copyright
+    (c) 2001-2002 Enthought, Inc. and 2003 onwards SciPy Developers) for
+    method "trf" with the linear loss, no bounds, a dense Jacobian and the
+    "exact" trust-region solver: scipy's ``trf_no_bounds`` with Moré's step
+    from one SVD (``solve_lsq_trust_region``). Without ``jac`` the Jacobian
+    is scipy's default 2-point forward difference; ``jac_scale`` is
+    ``x_scale="jac"``, otherwise every parameter has scale 1. ftol and xtol
+    are scipy's defaults; the termination rules, the evaluation budget (the
+    first residual counts, the difference quotients do not) and
+    ``success = status > 0`` are scipy's.
+    A residual or Jacobian that is not finite raises FitConvergenceError
+    naming ``what``.
+    """
+    def checked(out, p):
+        if not np.all(np.isfinite(out)):
+            raise FitConvergenceError(
+                f"{what} fit met a non-finite residual or Jacobian at "
+                f"parameters {np.array2string(p, precision=3)}")
+        return out
+
+    def residuals(p):
+        return checked(fun(p), p)
+
+    def jacobian(p, f):
+        if jac is not None:
+            return checked(jac(p), p)
+        # scipy's approx_derivative(method="2-point"), built transposed
+        h = _EPS ** 0.5 * ((p >= 0).astype(float) * 2 - 1) \
+            * np.maximum(1.0, np.abs(p))
+        jt = np.empty((p.size, f.size))
+        for i in range(p.size):
+            p1 = p.copy()
+            p1[i] = p[i] + h[i]
+            jt[i] = (residuals(p1) - f) / ((p[i] + h[i]) - p[i])
+        return checked(jt.T, p)
+
+    def column_scale(J, scale_inv_old=None):  # scipy's compute_jac_scale
+        scale_inv = np.sum(J ** 2, axis=0) ** 0.5
+        if scale_inv_old is None:
+            scale_inv[scale_inv == 0] = 1
+        else:
+            scale_inv = np.maximum(scale_inv, scale_inv_old)
+        return 1 / scale_inv, scale_inv
+
+    ftol = xtol = 1e-8
+    x = x0.astype(float)
+    f = residuals(x)
+    nfev = 1
+    J = jacobian(x, f)
+    m, n = J.shape
+    cost = 0.5 * np.dot(f, f)
+    g = J.T.dot(f)
+    if jac_scale:
+        scale, scale_inv = column_scale(J)
+    else:
+        scale = scale_inv = np.ones(n)
+    Delta = norm(x * scale_inv)
+    if Delta == 0:
+        Delta = 1.0
+    alpha = 0.0  # the Levenberg-Marquardt parameter
+    status = None
+    while True:
+        if norm(g, ord=np.inf) < gtol:
+            status = 1
+        if status is not None or nfev == max_nfev:
+            break
+        g_h = scale * g
+        J_h = J * scale
+        U, s, V = svd(J_h, full_matrices=False)
+        V = V.T
+        uf = U.T.dot(f)
+        actual_reduction = -1
+        while actual_reduction <= 0 and nfev < max_nfev:
+            step_h, alpha = _more_step(n, m, uf, s, V, Delta, alpha)
+            Js = J_h.dot(step_h)
+            predicted_reduction = -(0.5 * np.dot(Js, Js)
+                                    + np.dot(step_h, g_h))
+            step = scale * step_h
+            x_new = x + step
+            f_new = residuals(x_new)
+            nfev += 1
+            step_h_norm = norm(step_h)
+            cost_new = 0.5 * np.dot(f_new, f_new)
+            actual_reduction = cost - cost_new
+            # scipy's update_tr_radius
+            if predicted_reduction > 0:
+                ratio = actual_reduction / predicted_reduction
+            elif predicted_reduction == actual_reduction == 0:
+                ratio = 1
+            else:
+                ratio = 0
+            Delta_new = Delta
+            if ratio < 0.25:
+                Delta_new = 0.25 * step_h_norm
+            elif ratio > 0.75 and step_h_norm > 0.95 * Delta:
+                Delta_new *= 2.0
+            # scipy's check_termination
+            ftol_met = actual_reduction < ftol * cost and ratio > 0.25
+            xtol_met = norm(step) < xtol * (xtol + norm(x))
+            if ftol_met and xtol_met:
+                status = 4
+            elif ftol_met:
+                status = 2
+            elif xtol_met:
+                status = 3
+            if status is not None:
+                break
+            alpha *= Delta / Delta_new
+            Delta = Delta_new
+        if actual_reduction > 0:
+            x = x_new
+            f = f_new
+            cost = cost_new
+            J = jacobian(x, f)
+            g = J.T.dot(f)
+            if jac_scale:
+                scale, scale_inv = column_scale(J, scale_inv)
+    return _FitResult(x=x, cost=cost, jac=J,
+                      status=0 if status is None else status, nfev=nfev)
+
+
+def _more_step(n: int, m: int, uf: np.ndarray, s: np.ndarray, V: np.ndarray,
+               Delta: float, alpha: float, rtol: float = 0.01,
+               max_iter: int = 10) -> tuple[np.ndarray, float]:
+    """Moré's trust-region step p, with (J^T J + alpha I) p = -J^T f and
+    |p| = Delta unless the Gauss-Newton step fits, from J = U diag(s) V^T
+    and uf = U^T f; alpha starts from the previous step's. scipy's
+    ``solve_lsq_trust_region``."""
+    def phi_and_derivative(alpha):
+        denom = s ** 2 + alpha
+        p_norm = norm(suf / denom)
+        return p_norm - Delta, -np.sum(suf ** 2 / denom ** 3) / p_norm
+
+    suf = s * uf
+    full_rank = m >= n and s[-1] > _EPS * m * s[0]
+    if full_rank:
+        p = -V.dot(uf / s)
+        if norm(p) <= Delta:
+            return p, 0.0
+    alpha_upper = norm(suf) / Delta
+    if full_rank:
+        phi, phi_prime = phi_and_derivative(0.0)
+        alpha_lower = -phi / phi_prime
+    else:
+        alpha_lower = 0.0
+    if not full_rank and alpha == 0:
+        alpha = max(0.001 * alpha_upper, (alpha_lower * alpha_upper) ** 0.5)
+    for _ in range(max_iter):
+        if alpha < alpha_lower or alpha > alpha_upper:
+            alpha = max(0.001 * alpha_upper,
+                        (alpha_lower * alpha_upper) ** 0.5)
+        phi, phi_prime = phi_and_derivative(alpha)
+        if phi < 0:
+            alpha_upper = alpha
+        ratio = phi / phi_prime
+        alpha_lower = max(alpha_lower, alpha - ratio)
+        alpha -= (phi + Delta) * ratio / Delta
+        if np.abs(phi) < rtol * Delta:
+            break
+    p = -V.dot(suf / (s ** 2 + alpha))
+    # rescale onto the boundary, so the step never leaves the region
+    p *= Delta / norm(p)
+    return p, alpha
 
 
 def _lorentzian_model(params: np.ndarray, energies: np.ndarray,
@@ -159,7 +339,7 @@ def _raw_lorentzian_fit(energies: np.ndarray, data: np.ndarray,
                         starts: list[np.ndarray]):
     best = None
     for x0 in starts:
-        res = _least_squares(
+        res = _trust_region_fit(
             "peak", lambda p: _lorentzian_model(p, energies) - data, x0,
             jac=lambda p: _lorentzian_model(p, energies, jacobian=True),
             max_nfev=MAX_FIT_ITERATIONS * x0.size, gtol=1e-12)
@@ -213,8 +393,11 @@ def fit_lorentzians(spectrum: CorrelatorSpectrum, peak_count: int,
                     seed_centers=None) -> PeakSet:
     """Nonlinear least squares of a sum of Lorentzians to Re(spectrum).
 
-    Seed centers default to the tallest well-separated data maxima. Weights
-    are window-mass corrected whenever the spectrum carries its tau grid.
+    Each of three starts runs the trust-region reflective fit
+    (``_trust_region_fit``) with the analytic Jacobian, and the lowest cost
+    wins. Seed centers default to the tallest well-separated data maxima.
+    Weights are window-mass corrected whenever the spectrum carries its tau
+    grid.
     """
     if peak_count < 1:
         raise ValueError("peak_count must be at least 1")
@@ -306,7 +489,11 @@ def occupation_from_fdt(k_weight: complex, a_weight: complex,
 
 
 def fit_bose_einstein(energies, occupations, sigmas=None) -> TemperatureFit:
-    """Weighted fit of n(E) = 1/(e^{E/T} - 1); T is the only parameter."""
+    """Weighted fit of n(E) = 1/(e^{E/T} - 1); T is the only parameter.
+
+    The fit is the trust-region reflective method (``_trust_region_fit``) in
+    log T, with a forward-difference Jacobian.
+    """
     energies = np.asarray(energies, dtype=float)
     occupations = np.asarray(occupations, dtype=float)
     if energies.size != occupations.size or energies.size < 2:
@@ -330,9 +517,9 @@ def fit_bose_einstein(energies, occupations, sigmas=None) -> TemperatureFit:
     positive = occupations > 0
     guess = energies[positive] / np.log1p(1.0 / occupations[positive])
     x0 = np.array([np.log(np.median(guess))])
-    res = _least_squares("temperature",
-                         lambda p: root_w * (model(p[0]) - occupations), x0,
-                         max_nfev=MAX_FIT_ITERATIONS, gtol=1e-12)
+    res = _trust_region_fit(
+        "temperature", lambda p: root_w * (model(p[0]) - occupations), x0,
+        max_nfev=MAX_FIT_ITERATIONS, gtol=1e-12)
     if not res.success:
         raise FitConvergenceError(
             f"temperature fit did not converge; best squared residual "
@@ -446,8 +633,11 @@ def fit_biexponential(times, values, plateau: float,
     """Fit |y - plateau| with a1 e^{-t/tau1} + a2 e^{-t/tau2} + floor.
 
     The objective compares logarithms so both decay scales carry weight.
-    Near-degenerate results (tau1 ~ tau2 or one amplitude negligible) are
-    reported in the detail field.
+    Each of three starts runs the trust-region reflective fit
+    (``_trust_region_fit``) with the analytic Jacobian and parameters scaled
+    by its column norms, and the lowest cost wins. Near-degenerate results
+    (tau1 ~ tau2 or one amplitude negligible) are reported in the detail
+    field.
     """
     times = np.asarray(times, dtype=float)
     values = np.asarray(values, dtype=float)
@@ -476,10 +666,10 @@ def fit_biexponential(times, values, plateau: float,
                               fast * span, slow * span]))
     best = None
     for x0 in starts:
-        res = _least_squares(
+        res = _trust_region_fit(
             "relaxation", lambda p: _biexp_model(p, t, noise_floor) - log_z,
             x0, jac=lambda p: _biexp_model(p, t, noise_floor, jacobian=True),
-            x_scale="jac", max_nfev=MAX_FIT_ITERATIONS * 4, gtol=1e-12)
+            jac_scale=True, max_nfev=MAX_FIT_ITERATIONS * 4, gtol=1e-12)
         if best is None or res.cost < best.cost:
             best = res
     if not best.success:

@@ -1,11 +1,15 @@
 """Command-line behavior: exit codes, overrides, standalone fits."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import bosetherm
 from bosetherm.cli import main
 from bosetherm.runner import _jsonify, _relaxation_entry, write_csv
 
@@ -29,6 +33,21 @@ def rabi_config(outdir) -> dict:
         "output_dir": str(outdir),
         "seed": 1,
     }
+
+
+def test_importing_the_cli_loads_no_scipy_optimize():
+    # scipy.optimize would also load scipy.fft, scipy.special and
+    # scipy.spatial: about 19 MiB and 0.3 s in every process
+    code = ("import json, sys, bosetherm.cli; print(json.dumps(sorted("
+            "{'.'.join(m.split('.')[:2]) for m in sys.modules} & {"
+            "'scipy.optimize', 'scipy.fft', 'scipy.special', "
+            "'scipy.spatial'})))")
+    source = str(Path(bosetherm.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [source, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert json.loads(out) == []
 
 
 def test_run_returns_zero(tmp_path):

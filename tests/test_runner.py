@@ -124,6 +124,27 @@ def test_csv_roundtrip_is_exact(tmp_path):
     assert np.array_equal(cols["b"], b)
 
 
+def test_csv_rows_match_per_value_formatting(tmp_path):
+    # the reference formats each numpy scalar on its own, as rows once were
+    special = [np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, 1e300, -1e-300,
+               0.1, 1.0 / 3.0, 123456789.0, 2.0 ** 60]
+    rng = np.random.default_rng(3)
+    a = np.concatenate([special, rng.standard_normal(20)])
+    b = np.concatenate([special[::-1], np.exp(rng.standard_normal(20) * 50)])
+    c = np.arange(a.size)
+    path = tmp_path / "table.csv"
+    write_csv(path, ["a", "b", "c"], [a, b, c])
+    cols = [np.asarray(col, dtype=float) for col in (a, b, c)]
+    expected = ["a,b,c"] + [",".join(format(v, ".17g") for v in row)
+                            for row in zip(*cols)]
+    assert path.read_text() == "\n".join(expected) + "\n"
+    lines = path.read_text().splitlines()
+    assert lines[1] == "nan,1.152921504606847e+18,0"
+    assert lines[4] == "-0,0.10000000000000001,3"
+    assert lines[6] == "4.9406564584124654e-324,1.0000000000000001e+300,5"
+    assert lines[11] == "123456789,inf,10"
+
+
 def test_rabi_occupation_curve(tmp_path):
     manifest = run(rabi_config(tmp_path / "out"))
     assert manifest["stages"]["evolve"]["status"] == "ok"

@@ -5,6 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.optimize import least_squares
 from scipy.optimize._numdiff import approx_derivative
 
 import oracles
@@ -382,3 +383,100 @@ def test_window_weight_scale_is_bit_equal_and_keeps_the_transform_kernel(
             np.float64(direct(window)).tobytes()
     # the one-slot transform cache still holds the spectra's kernel
     assert correlators._kernel_cache is held
+
+
+# The fits run a port of scipy's trust-region least squares; scipy itself is
+# the oracle. Each call the fitters make is replayed through least_squares
+# with the options the port stands for, and the result compared byte for
+# byte.
+
+def record_fits(monkeypatch):
+    """Spy on the port: every call the fitters make, with its result."""
+    calls = []
+    port = thermofit._trust_region_fit
+
+    def spy(what, fun, x0, jac=None, **options):
+        result = port(what, fun, x0, jac, **options)
+        calls.append((fun, x0.copy(), jac, options, result))
+        return result
+    monkeypatch.setattr(thermofit, "_trust_region_fit", spy)
+    return calls
+
+
+def assert_matches_scipy(calls):
+    assert calls
+    for fun, x0, jac, options, result in calls:
+        assert set(options) <= {"max_nfev", "jac_scale", "gtol"}
+        oracle = least_squares(
+            fun, x0, jac="2-point" if jac is None else jac,
+            x_scale="jac" if options.get("jac_scale") else 1.0,
+            max_nfev=options["max_nfev"], gtol=options.get("gtol", 1e-8))
+        assert result.x.tobytes() == oracle.x.tobytes()
+        assert np.float64(result.cost).tobytes() == \
+            np.float64(oracle.cost).tobytes()
+        assert result.jac.shape == oracle.jac.shape
+        assert result.jac.tobytes() == oracle.jac.tobytes()
+        assert result.success == oracle.success
+        assert result.status == oracle.status
+
+
+@pytest.mark.parametrize("peaks,points", [(1, 1401), (3, 351)])
+def test_lorentzian_fits_match_scipy(monkeypatch, peaks, points):
+    energies = np.linspace(-5.0, 25.0, points)
+    rng = np.random.default_rng(peaks)
+    data = sum(lorentzian(energies, w, c, g) for w, c, g in
+               [(1.0, 4.0, 0.5), (0.6, 11.0, 0.8), (0.3, 18.0, 0.4)][:peaks])
+    data = data + rng.normal(0.0, 0.005, points)
+    calls = record_fits(monkeypatch)
+    fit_lorentzians(spectrum_of(energies, data), peaks)
+    assert len(calls) == 3
+    assert_matches_scipy(calls)
+
+
+def test_lorentzian_fit_at_its_evaluation_budget_matches_scipy(monkeypatch):
+    # two evaluations per parameter: every start stops on the budget
+    energies = np.linspace(0.0, 20.0, 401)
+    data = lorentzian(energies, 1.0, 10.0, 0.5)
+    calls = record_fits(monkeypatch)
+    monkeypatch.setattr(thermofit, "MAX_FIT_ITERATIONS", 2)
+    with pytest.raises(FitConvergenceError, match="did not converge"):
+        fit_lorentzians(spectrum_of(energies, data), 1, seed_centers=[6.0])
+    assert [c[-1].status for c in calls] == [0, 0, 0]
+    assert [c[-1].nfev for c in calls] == [6, 6, 6]
+    assert_matches_scipy(calls)
+
+
+def test_coincident_peaks_match_scipy(monkeypatch):
+    # two peaks seeded on one centre: equal Jacobian columns, rank 3 of 6
+    energies = np.linspace(-5.0, 25.0, 351)
+    data = lorentzian(energies, 1.0, 10.0, 0.5)
+    calls = record_fits(monkeypatch)
+    fit_lorentzians(spectrum_of(energies, data), 2, seed_centers=[10.0, 10.0])
+    _, x0, jac, _, _ = calls[0]
+    assert np.linalg.matrix_rank(jac(x0)) == 3
+    assert_matches_scipy(calls)
+
+
+@pytest.mark.parametrize("weighted", [False, True])
+def test_bose_einstein_fit_matches_scipy(monkeypatch, weighted):
+    rng = np.random.default_rng(5)
+    energies = np.array([3.0, 7.0, 12.0, 18.0, 25.0, 33.0])
+    occupations = (1.0 / np.expm1(energies / 14.0)) \
+        * (1.0 + 0.05 * rng.normal(size=energies.size))
+    sigmas = 0.02 + 0.1 * occupations if weighted else None
+    calls = record_fits(monkeypatch)
+    fit_bose_einstein(energies, occupations, sigmas)
+    assert len(calls) == 1 and calls[0][2] is None  # forward differences
+    assert_matches_scipy(calls)
+
+
+def test_biexponential_fit_matches_scipy(monkeypatch):
+    rng = np.random.default_rng(11)
+    times = np.linspace(0.0, 8.0, 161)
+    deviation = 3.0 * np.exp(-times / 0.25) + 0.4 * np.exp(-times / 1.5)
+    values = 5.15 + deviation * (1.0 + 0.02 * rng.normal(size=times.size))
+    calls = record_fits(monkeypatch)
+    fit_biexponential(times, values, plateau=5.15, noise_floor=1e-3)
+    assert len(calls) == 3
+    assert all(c[3]["jac_scale"] for c in calls)
+    assert_matches_scipy(calls)
