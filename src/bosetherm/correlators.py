@@ -37,6 +37,7 @@ from .fock import FockBasis, StateVector
 from .hamiltonian import EigenSystem, build_hamiltonian
 from .propagator import (
     Propagator,
+    PropagatorConfig,
     _depth_for_horizon,
     advance_columns,
     build_eigen_propagator,
@@ -171,7 +172,8 @@ class SectorLadders:
 def build_sector_ladders(params, horizon: float, tau_step: float | None = None,
                          target_error: float = 1e-8, neighbors: bool = True,
                          center: EigenSystem | None = None,
-                         **config_kwargs) -> SectorLadders:
+                         max_rung_bytes: int = PropagatorConfig.max_rung_bytes
+                         ) -> SectorLadders:
     """Exact propagators for N and (optionally) N-1, N+1 on one lattice.
 
     The step is the tightest of the per-sector choices of choose_base_step,
@@ -179,7 +181,7 @@ def build_sector_ladders(params, horizon: float, tau_step: float | None = None,
     mixed-sector walks stay on a single lattice, and each sector gets an
     EigenPropagator on that lattice; center, an eigensystem of the N sector
     the caller holds, serves its propagator, so only the sectors not given
-    are diagonalized.
+    are diagonalized. max_rung_bytes caps each sector's eigenvectors.
     """
     counts = [params.num_particles]
     if neighbors:
@@ -190,13 +192,13 @@ def build_sector_ladders(params, horizon: float, tau_step: float | None = None,
            for n in counts}
     align = None if tau_step is None else tau_step / 2.0
     cfgs = [choose_base_step(ops[n], horizon, target_error=target_error,
-                             align_to=align, **config_kwargs)
+                             align_to=align, max_rung_bytes=max_rung_bytes)
             for n in counts]
     # min of aligned steps is still an integer divisor of the alignment; the
     # config records the highest sector order, which the eigen propagators
     # do not use
     dt = min(c.base_step for c in cfgs)
-    depth = _depth_for_horizon(dt, cfgs[0].branching, horizon)
+    depth = _depth_for_horizon(dt, horizon)
     config = dataclasses.replace(
         cfgs[0], base_step=dt, depth=depth,
         taylor_order=max(c.taylor_order for c in cfgs))

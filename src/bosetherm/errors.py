@@ -32,7 +32,9 @@ class StepTooLargeError(NumericsError):
 
 
 class UnreachableTimeError(NumericsError):
-    """Requested time is not on the propagator lattice and snapping is off."""
+    """A step count lies beyond the propagator's span, or a requested time
+    is off the lattice and snapping is off. bosetherm run always snaps, so
+    there it means only the former."""
 
 
 class GridMismatchError(NumericsError):

@@ -13,11 +13,12 @@ propagator's own column walk; every time grid of the package is one block.
 
 PropagatorLadder (the paper's method). The base propagator
 U0 = sum_{k<=k_max} (-i dt)^k H^k / k! is accurate for dt * max|H_ij| <= 0.1
-(enforced). A ladder of rungs U_r = (U_{r-1})^n then spans n^r * dt each, so
-any lattice time m * dt is reached with O(log m) rung applies via the base-n
-digits of m. advance walks by matrix-vector products, and the column walk
-is advance on each column in turn. Negative times use the adjoint
-rungs, which is exact for unitaries up to the Taylor truncation. Truncation
+(enforced). Each rung squares the one before, U_r = (U_{r-1})^2, so rung r
+spans 2^r * dt (scaling and squaring), and any lattice time m * dt is
+reached with one rung apply per set bit of m. advance walks by
+matrix-vector products, and the column walk is advance on each column in
+turn. Negative times use the adjoint rungs, which is exact for unitaries
+up to the Taylor truncation. Truncation
 errors add up over the effective number of base steps, so at a fixed order
 the step must shrink with the horizon: horizon * rho^(k+1) * dt^k / (k+1)!
 <= target (rho estimated by power iteration). choose_base_step raises the
@@ -46,6 +47,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 from scipy.linalg.blas import zspmv, zsyrk
@@ -64,9 +66,6 @@ MAX_STEP_FACTOR = 0.1
 # and the cap it stops at when no order's accuracy step reaches the rule
 MIN_TAYLOR_ORDER = 4
 MAX_TAYLOR_ORDER = 16
-# rows of a work matrix multiplied at a time when a packed ladder with
-# branching > 2 multiplies in place
-PRODUCT_ROWS = 64
 
 
 @dataclass(frozen=True)
@@ -81,23 +80,24 @@ class PropagatorConfig:
     base_step: float
     depth: int
     taylor_order: int = MIN_TAYLOR_ORDER
-    branching: int = 2
     max_rung_bytes: int = 2**31
+    # each rung squares the one before; not a field, so not an option.
+    # perfbench/spans.py reads it to count the rung applies of a walk.
+    branching: ClassVar[int] = 2
 
     def __post_init__(self):
         if not (np.isfinite(self.base_step) and self.base_step > 0):
             raise ValueError("base_step must be positive and finite")
         if self.taylor_order < 1:
             raise ValueError("taylor_order must be at least 1")
-        if self.branching < 2:
-            raise ValueError("branching must be at least 2")
         if self.depth < 0:
             raise ValueError("depth must be nonnegative")
 
     @property
     def max_steps(self) -> int:
-        """Largest lattice index reachable: n^(r+1) - 1 base steps."""
-        return self.branching ** (self.depth + 1) - 1
+        """Largest lattice index reachable: 2^(depth+1) - 1 base steps,
+        every rung applied once."""
+        return 2 ** (self.depth + 1) - 1
 
     @property
     def span(self) -> float:
@@ -231,7 +231,7 @@ class Propagator:
 
 
 class PropagatorLadder(Propagator):
-    """Rungs U0^(n^k) for k = 0..depth over one sector.
+    """Rungs U0^(2^k) for k = 0..depth over one sector.
 
     rungs[k] is a dense matrix, or, when packed, the upper triangle of a
     complex symmetric rung in BLAS packed storage (a row of one array).
@@ -283,10 +283,8 @@ class PropagatorLadder(Propagator):
         if backward:
             np.conjugate(out, out=out)
         m = abs(int(steps))
-        n = self.config.branching
         for k in range(self.config.depth, -1, -1):
-            count, m = divmod(m, n ** k)
-            for _ in range(count):
+            if m >> k & 1:
                 out = self._apply(k, out, backward)
         return np.conjugate(out, out=out) if backward else out
 
@@ -304,9 +302,8 @@ def build_ladder(op: SectorOperator, config: PropagatorConfig) -> PropagatorLadd
 
     A real symmetric H gives packed rungs: each squaring is one zsyrk
     (U U^T = U^2) from one dense Fortran-ordered work matrix into another,
-    whose triangle is mirrored; for branching > 2 it then takes the
-    remaining factors in place, PRODUCT_ROWS rows at a time, and is packed.
-    Otherwise the (depth + 1) rungs are dense matrix powers.
+    whose triangle is mirrored and packed. Otherwise the (depth + 1) rungs
+    are dense, each the square of the one before.
     """
     dim = op.basis.dim
     rung_bytes = 16 * dim ** 2
@@ -316,7 +313,7 @@ def build_ladder(op: SectorOperator, config: PropagatorConfig) -> PropagatorLadd
     if not op.is_real:
         rungs = [base_step(op, config)]
         for _ in range(config.depth):
-            rungs.append(np.linalg.matrix_power(rungs[-1], config.branching))
+            rungs.append(rungs[-1] @ rungs[-1])
         return PropagatorLadder(op.basis, config, rungs)
     rungs = np.empty((config.depth + 1, dim * (dim + 1) // 2),
                      dtype=np.complex128)
@@ -327,12 +324,6 @@ def build_ladder(op: SectorOperator, config: PropagatorConfig) -> PropagatorLadd
     for k in range(1, config.depth + 1):
         zsyrk(1.0, work, c=spare, overwrite_c=1)  # upper triangle only
         _mirror_upper(spare)
-        for _ in range(config.branching - 2):
-            # row i of (spare work) needs only row i of spare
-            for lo in range(0, dim, PRODUCT_ROWS):
-                rows = slice(lo, lo + PRODUCT_ROWS)
-                spare[rows] = spare[rows] @ work
-            _mirror_upper(spare)
         _pack(spare, rungs[k])
         work, spare = spare, work
     return PropagatorLadder(op.basis, config, rungs)
@@ -437,10 +428,10 @@ def evolve_to(ladder: Propagator, state: StateVector, t: float,
     return StateVector(ladder.basis, ladder.advance(state.amplitudes, m))
 
 
-def _depth_for_horizon(dt: float, branching: int, horizon: float) -> int:
+def _depth_for_horizon(dt: float, horizon: float) -> int:
     """Smallest ladder depth whose span reaches the horizon."""
     depth = 0
-    while (branching ** (depth + 1) - 1) * dt < horizon:
+    while (2 ** (depth + 1) - 1) * dt < horizon:
         depth += 1
     return depth
 
@@ -454,9 +445,9 @@ def _accuracy_step(order: int, rho: float, horizon: float,
 
 def choose_base_step(op: SectorOperator, horizon: float,
                      target_error: float = 1e-8,
-                     branching: int = 2,
                      align_to: float | None = None,
-                     **config_kwargs) -> PropagatorConfig:
+                     max_rung_bytes: int = PropagatorConfig.max_rung_bytes
+                     ) -> PropagatorConfig:
     """Pick a Taylor order, base step and depth for a horizon and error
     budget.
 
@@ -470,7 +461,7 @@ def choose_base_step(op: SectorOperator, horizon: float,
     floor low: each rung carries about machine epsilon times its number of
     base steps, so that floor grows as horizon / dt. align_to forces dt
     into an integer divisor of that interval so external grids stay on the
-    lattice.
+    lattice. max_rung_bytes goes to the config unchanged.
     """
     if not (np.isfinite(horizon) and horizon > 0):
         raise ValueError("horizon must be positive and finite")
@@ -492,6 +483,6 @@ def choose_base_step(op: SectorOperator, horizon: float,
             raise ValueError("align_to must be positive and finite")
         dt = align_to / math.ceil(align_to / dt)
     return PropagatorConfig(base_step=dt,
-                            depth=_depth_for_horizon(dt, branching, horizon),
-                            taylor_order=order, branching=branching,
-                            **config_kwargs)
+                            depth=_depth_for_horizon(dt, horizon),
+                            taylor_order=order,
+                            max_rung_bytes=max_rung_bytes)

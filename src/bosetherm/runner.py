@@ -396,11 +396,6 @@ def read_config(path) -> dict:
     return raw
 
 
-def load_config(path) -> dict:
-    """Read and validate one JSON configuration file."""
-    return validate_config(read_config(path))
-
-
 # ---------------------------------------------------------------------------
 # artifact helpers
 

@@ -26,6 +26,7 @@ from bosetherm.propagator import (
     MIN_TAYLOR_ORDER,
     EigenPropagator,
     PropagatorConfig,
+    PropagatorLadder,
     advance_columns,
     base_step,
     build_eigen_propagator,
@@ -107,20 +108,20 @@ def test_rungs_are_exact_powers():
     for kind in GENERATORS:
         rng = np.random.default_rng(4)
         op = random_generator(kind, 10, rng)
-        cfg = choose_base_step(op, horizon=10.0, branching=3)
+        cfg = choose_base_step(op, horizon=10.0)
         ladder = build_ladder(op, cfg)
         assert ladder.packed == (kind == "real_symmetric")
         u0 = ladder.rung(0)
         assert np.abs(u0 - base_step(op, cfg)).max() < 1e-15
         for k in range(1, cfg.depth + 1):
-            direct = np.linalg.matrix_power(u0, 3 ** k)
+            direct = np.linalg.matrix_power(u0, 2 ** k)
             assert np.abs(ladder.rung(k) - direct).max() < 1e-10
 
 
-@pytest.mark.parametrize("branching", [2, 3])
+@pytest.mark.parametrize("branching", [2])
 def test_model_sector_rungs_are_packed_exact_powers(branching):
     op = model_op(5, 4)  # dim 70
-    cfg = choose_base_step(op, horizon=10.0, branching=branching)
+    cfg = choose_base_step(op, horizon=10.0)
     ladder = build_ladder(op, cfg)
     dim = op.basis.dim
     assert ladder.packed
@@ -133,13 +134,13 @@ def test_model_sector_rungs_are_packed_exact_powers(branching):
         assert np.abs(ladder.rung(k) - direct).max() < 1e-10
 
 
-@pytest.mark.parametrize("branching", [2, 3])
+@pytest.mark.parametrize("branching", [2])
 def test_evolution_matches_eigensolver(branching):
     for kind in GENERATORS:
         rng = np.random.default_rng(5)
         op = random_generator(kind, 60, rng)
         eig = diagonalize(op)
-        cfg = choose_base_step(op, horizon=1000.0, branching=branching)
+        cfg = choose_base_step(op, horizon=1000.0)
         ladder = build_ladder(op, cfg)
         psi0 = random_unit(60, rng)
         state = StateVector(op.basis, psi0)
@@ -211,8 +212,7 @@ def test_advance_columns_matches_per_column_advance():
     for kind in GENERATORS:
         rng = np.random.default_rng(15)
         op = random_generator(kind, 20, rng)
-        ladder = build_ladder(op, PropagatorConfig(base_step=0.01, depth=6,
-                                                   branching=3))
+        ladder = build_ladder(op, PropagatorConfig(base_step=0.01, depth=10))
         steps = [0, 1, -1, 250, -250, 1000, -7, ladder.max_steps, 0, 13]
         block = (rng.normal(size=(20, len(steps)))
                  + 1j * rng.normal(size=(20, len(steps))))
@@ -221,6 +221,34 @@ def test_advance_columns_matches_per_column_advance():
             alone = ladder.advance(block[:, col], count)
             assert np.array_equal(walked[:, col], alone)
         assert np.array_equal(walked[:, 0], block[:, 0])
+
+
+def test_advance_applies_one_rung_per_set_bit(monkeypatch):
+    # perfbench/spans.py counts rung applies from config.branching and
+    # wraps PropagatorLadder.__dict__["advance"], so both must hold
+    assert PropagatorConfig.branching == 2
+    assert "advance" in PropagatorLadder.__dict__
+    applied = []
+    apply = PropagatorLadder._apply
+
+    def counted(self, k, vector, transpose):
+        applied.append(k)
+        return apply(self, k, vector, transpose)
+
+    monkeypatch.setattr(PropagatorLadder, "_apply", counted)
+    for kind in GENERATORS:
+        rng = np.random.default_rng(34)
+        op = random_generator(kind, 12, rng)
+        ladder = build_ladder(op, PropagatorConfig(base_step=0.01, depth=5))
+        assert ladder.packed == (kind == "real_symmetric")
+        v = random_unit(12, rng)
+        for m in [0, 1, -1, 6, ladder.max_steps, -ladder.max_steps]:
+            applied.clear()
+            ladder.advance(v, m)
+            bits = [k for k in range(ladder.config.depth, -1, -1)
+                    if abs(m) >> k & 1]
+            assert applied == bits, (kind, m)
+            assert len(applied) == bin(abs(m)).count("1")
 
 
 def test_advance_columns_walks_a_block_wider_than_the_sector():
@@ -552,11 +580,11 @@ def test_eigen_walk_holds_at_most_two_block_sized_arrays():
         assert peak <= 2 * block.nbytes + slack, (peak, block.nbytes)
 
 
-@pytest.mark.parametrize("branching", [2, 3])
+@pytest.mark.parametrize("branching", [2])
 def test_packed_ladder_build_holds_its_rungs_and_three_dense_matrices(
         branching):
     op = model_op(5, 6)  # dim 210
-    cfg = choose_base_step(op, horizon=1000.0, branching=branching)
+    cfg = choose_base_step(op, horizon=1000.0)
     dim = op.basis.dim
     tracemalloc.start()
     try:
@@ -567,8 +595,8 @@ def test_packed_ladder_build_holds_its_rungs_and_three_dense_matrices(
     store = (cfg.depth + 1) * 8 * dim * (dim + 1)
     assert ladder.nbytes == store
     # the packed rungs and three dense matrices: the two work matrices of
-    # the squarings, with room for the base step's real terms and the row
-    # blocks of branching > 2; dense rungs would take twice the store
+    # the squarings, with room for the base step's real terms; dense rungs
+    # would take twice the store
     assert peak <= store + 3 * 16 * dim * dim, (peak, store)
 
 
