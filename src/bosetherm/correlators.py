@@ -20,14 +20,20 @@ take the tau points in runs of at most dim(N) columns, which bounds the
 sector vectors they build at once.
 
 The energy transform follows f(E) = dtau * sum_k w(tau_k) C(tau_k)
-exp(+i E tau_k) with a Hann window by default. The series of one sweep
-share their grid, so the last grid's exp(+i E tau) kernel is kept. The
-kernel is built and exponentiated in place, in one E x tau array.
+exp(+i E tau_k) with a Hann window by default, on a grid taken as exactly
+uniform, tau_k = s k. Writing k = -K + b L + l with L = ceil(sqrt(n))
+factors each phase into an outer exp(i E s (b L - K)) and an inner
+exp(i E s l), so a call builds one E x L and one E x ceil(n / L) phase
+block instead of an E x n kernel. A call holds at most two such blocks,
+about 2 E sqrt(n) complex values (a traced peak of 1.3 MB for 1401
+energies and 601 tau points, where the E x n kernel took 13.5 MB), and
+nothing is kept between calls.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -414,32 +420,38 @@ def _phase_kernel(energies: np.ndarray, tau: np.ndarray) -> np.ndarray:
     return np.exp(kernel, out=kernel)
 
 
-_kernel_cache: tuple[tuple[bytes, bytes], np.ndarray] | None = None
+def _phase_sum(energies: np.ndarray, tau: np.ndarray,
+               x: np.ndarray) -> np.ndarray:
+    """sum_j exp(+i E tau_j) x_j on the uniform grid tau_j = s j, j = -K..K.
 
-
-def _energy_kernel(energies: np.ndarray, tau: np.ndarray) -> np.ndarray:
-    """exp(+i E tau) on a grid, reused while the grid repeats.
-
-    to_energy takes one series per call, so the kernel is kept here for the
-    calls that follow. Only the last grid's kernel is kept, and it is
-    dropped before a new one is built, so at most one kernel is ever held.
+    With s = (tau_last - tau_first) / (n - 1) and j = -K + b L + l for
+    L = ceil(sqrt(n)), the phase splits exactly into an outer factor
+    exp(i E s (b L - K)) and an inner one exp(i E s l). One E x L inner
+    block meets the zero-padded (B, L) series in one product; the E x B
+    result is weighted by the outer block and summed over b. No more than
+    two E x ceil(sqrt(n)) complex arrays are held at once.
     """
-    global _kernel_cache
-    key = (energies.tobytes(), tau.tobytes())
-    if _kernel_cache is not None and _kernel_cache[0] == key:
-        return _kernel_cache[1]
-    _kernel_cache = None
-    kernel = _phase_kernel(energies, tau)
-    kernel.flags.writeable = False
-    _kernel_cache = (key, kernel)
-    return kernel
+    n = tau.size
+    step = (tau[-1] - tau[0]) / (n - 1)
+    width = math.isqrt(n - 1) + 1
+    blocks = -(-n // width)
+    padded = np.zeros(blocks * width, dtype=np.complex128)
+    padded[:n] = x
+    sums = _phase_kernel(energies, step * np.arange(width)) @ \
+        padded.reshape(blocks, width).T
+    sums *= _phase_kernel(energies,
+                          step * (width * np.arange(blocks) - (n - 1) // 2))
+    return sums.sum(axis=1)
 
 
 def to_energy(series: TwoTimeSeries, energies: np.ndarray,
               window: str = "hann") -> CorrelatorSpectrum:
     """f(E) = dtau * sum_k w(tau_k) C(tau_k) exp(+i E tau_k).
 
-    Energies beyond the Nyquist limit pi/dtau are rejected.
+    The grid is taken as exactly uniform, tau_k = s k with s spanning its
+    end points (_phase_sum), so a call holds O(E sqrt(n)) complex values,
+    not an E x n kernel. Energies beyond the Nyquist limit pi/dtau are
+    rejected.
     """
     energies = np.asarray(energies, dtype=float)
     step = series.tau_step
@@ -449,7 +461,7 @@ def to_energy(series: TwoTimeSeries, energies: np.ndarray,
             f"|E| up to {emax:.4f} exceeds the Nyquist limit "
             f"{np.pi / step:.4f} of a tau step {step:.4e}")
     w = window_values(series.tau, window)
-    vals = step * (_energy_kernel(energies, series.tau) @ (w * series.values))
+    vals = step * _phase_sum(energies, series.tau, w * series.values)
     return CorrelatorSpectrum(series.kind, series.pair, series.com_time,
                               energies, vals, window,
                               tau_max=float(np.abs(series.tau).max()),

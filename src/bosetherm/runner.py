@@ -820,9 +820,15 @@ def _stage_thermometry(cfg: dict, outdir: Path):
                 for way in ("forward", "reversed")))
         if not spectra_pairs:
             continue
-        timeline = temperature_timeline(spectra_pairs, fits["fdt_window"])
-        report["fdt"][key] = [asdict(f) for f in timeline]
-        fdt_temperatures[key] = [f.temperature for f in timeline]
+        timeline = []
+        for spectra in spectra_pairs:
+            fit: dict = {}
+            with _recorded_warnings(fit):
+                fit.update(asdict(temperature_timeline(
+                    [spectra], fits["fdt_window"])[0]))
+            timeline.append(fit)
+        report["fdt"][key] = timeline
+        fdt_temperatures[key] = [f["temperature"] for f in timeline]
 
     _write_json(outdir / "thermometry.json", report)
     diag = {"bose_temperatures": bose_temperatures,
@@ -847,26 +853,32 @@ def _stage_chaos(cfg: dict, outdir: Path):
 
 def _relaxation_entry(times: np.ndarray, values: np.ndarray,
                       tail_fraction: float) -> dict:
+    """The plateau and bi-exponential fit of one trace, with its flags and,
+    when any were raised, its warnings."""
     entry: dict = {}
-    try:
-        plateau, sigma = plateau_stats(values, tail_fraction)
-        entry.update(plateau=plateau, plateau_std=sigma)
-        fit = fit_biexponential(times, values, plateau, noise_floor=sigma)
-        entry.update(amplitude_fast=fit.amplitude_fast,
-                     amplitude_slow=fit.amplitude_slow,
-                     tau_fast=fit.tau_fast, tau_slow=fit.tau_slow,
-                     residual=fit.residual, detail=fit.detail)
-        # a time scale the samples cannot resolve is a fit artefact
-        flags = []
-        spacing = np.diff(np.unique(times))
-        if spacing.size and fit.tau_fast < spacing.min():
-            flags.append("tau_fast below the sample step")
-        if fit.tau_slow > float(times[-1] - times[0]):
-            flags.append("tau_slow exceeds the sampled span")
-        if flags:
-            entry["flags"] = flags
-    except NumericsError as exc:
-        entry["error"] = f"{type(exc).__name__}: {exc}"
+    caught: dict = {}
+    with _recorded_warnings(caught):
+        try:
+            plateau, sigma = plateau_stats(values, tail_fraction)
+            entry.update(plateau=plateau, plateau_std=sigma)
+            fit = fit_biexponential(times, values, plateau, noise_floor=sigma)
+            entry.update(amplitude_fast=fit.amplitude_fast,
+                         amplitude_slow=fit.amplitude_slow,
+                         tau_fast=fit.tau_fast, tau_slow=fit.tau_slow,
+                         residual=fit.residual, detail=fit.detail)
+            # a time scale the samples cannot resolve is a fit artefact
+            flags = []
+            spacing = np.diff(np.unique(times))
+            if spacing.size and fit.tau_fast < spacing.min():
+                flags.append("tau_fast below the sample step")
+            if fit.tau_slow > float(times[-1] - times[0]):
+                flags.append("tau_slow exceeds the sampled span")
+            if flags:
+                entry["flags"] = flags
+        except NumericsError as exc:
+            entry["error"] = f"{type(exc).__name__}: {exc}"
+    if caught["warnings"]:
+        entry["warnings"] = caught["warnings"]
     return entry
 
 

@@ -37,7 +37,7 @@ import numpy as np
 from numpy.linalg import norm
 from scipy.linalg import svd
 
-from .correlators import (CorrelatorSpectrum, _phase_kernel, tau_grid,
+from .correlators import (CorrelatorSpectrum, _phase_sum, tau_grid,
                           window_values)
 from .errors import FitConvergenceError, GridMismatchError, ShortSeriesError
 
@@ -381,8 +381,8 @@ def window_weight_scale(tau_max: float, tau_step: float,
     w = window_values(tau, window)
     lobe = 2.0 * np.pi / tau_max
     energies = np.linspace(-8.0 * lobe, 8.0 * lobe, 641)
-    # built afresh: the transform's one-slot cache keeps the spectra's kernel
-    kernel = tau_step * (_phase_kernel(energies, tau) @ w).real
+    # the windowed transform of a unit series, as to_energy takes it
+    kernel = tau_step * _phase_sum(energies, tau, w).real
     gamma0 = 0.25 * lobe
     x0 = np.array([kernel.max() * np.pi * gamma0, 0.0, np.log(gamma0)])
     best = _raw_lorentzian_fit(energies, kernel, [x0])

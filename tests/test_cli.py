@@ -316,7 +316,12 @@ def test_greens_refuses_spectrum_artifacts_of_other_couplings(tmp_path,
 def test_fit_stage_reruns_alone_through_run(tmp_path):
     cfg = json.loads(Path(__file__).with_name("small_quench.json").read_text())
     cfg["output_dir"] = str(tmp_path / "out")
-    assert main(["run", write_config(tmp_path / "all.json", cfg)]) == 0
+    # its one fitted level reads an FDT ratio below 1 and warns about it
+    with pytest.warns(UserWarning, match="unphysical occupation"):
+        assert main(["run", write_config(tmp_path / "all.json", cfg)]) == 0
+    report = json.loads((tmp_path / "out" / "thermometry.json").read_text())
+    (level,) = report["bose"][0]["levels"]
+    assert "FDT ratio below 1" in level["flags"]
     fits = tmp_path / "out" / "relaxation_fits.json"
     fits.unlink()
     # `bosetherm fit` is the standalone CSV fitter and does not take a config

@@ -316,6 +316,8 @@ def test_aliasing_beyond_nyquist_rejected():
     to_energy(series, np.array([0.999 * limit]))
     with pytest.raises(AliasingError):
         to_energy(series, np.array([1.01 * limit]))
+    # an empty grid holds no energy past the limit
+    assert to_energy(series, np.array([])).values.shape == (0,)
 
 
 def test_window_values_shapes():
@@ -464,42 +466,28 @@ def test_eigen_sectors_match_ladder_sectors_at_six_particles():
                                        atol=1e-12)
 
 
-def _direct_transform(series, energies, window):
-    """The windowed transform with its kernel formed by np.exp in one go."""
-    w = window_values(series.tau, window)
-    kernel = np.exp(1j * np.outer(energies, series.tau))
-    return series.tau_step * (kernel @ (w * series.values))
-
-
-def test_to_energy_reuses_its_kernel_bit_for_bit(small_setup):
-    import bosetherm.correlators as correlators
-
-    ladders, psi0 = small_setup
-    tau = tau_grid(2.0, 0.25)
-    lesser, greater = single_particle_correlators(psi0, ladders, (0, 0), 1.0,
-                                                  tau)
-    grid_a = np.linspace(-4.0, 4.0, 9)
-    grid_b = np.linspace(-3.0, 5.0, 17)
-    for series, grid in ((lesser, grid_a), (greater, grid_a),
-                         (lesser, grid_b), (greater, grid_a.copy())):
-        spec = to_energy(series, grid)
-        assert np.array_equal(spec.values,
-                              _direct_transform(series, grid, "hann"))
-        key, kernel = correlators._kernel_cache
-        assert key == (grid.tobytes(), tau.tobytes())
-        assert kernel.shape == (grid.size, tau.size)
+def _long_double_transform(series, energies, window):
+    """The windowed transform summed in np.clongdouble on the uniform grid
+    tau_k = s k, s = (tau_last - tau_first) / (n - 1), that to_energy
+    takes its float grid for."""
+    tau = series.tau
+    k_half = (tau.size - 1) // 2
+    step = np.longdouble(tau[-1] - tau[0]) / (tau.size - 1)
+    uniform = step * np.arange(-k_half, k_half + 1).astype(np.longdouble)
+    x = (window_values(tau, window) * series.values).astype(np.clongdouble)
+    phases = np.exp(1j * np.multiply.outer(energies.astype(np.longdouble),
+                                           uniform))
+    return np.longdouble(series.tau_step) * (phases @ x)
 
 
 # K = tau_max / tau_step: 8, 7, 150 and 300 (the pipeline and thermometry
 # grids); a nudge of 3e-10 steps leaves a grid that _validate_tau accepts
-# but that is not exactly symmetric about tau = 0
+# as uniform but that is not exactly symmetric about tau = 0, and the
+# reference sums it on the uniform grid it is accepted as
 @pytest.mark.parametrize("tau_max,tau_step,nudge", [
     (2.0, 0.25, 0.0), (1.75, 0.25, 0.0), (6.0, 0.04, 0.0), (12.0, 0.04, 0.0),
     (2.0, 0.25, 3e-10)])
-def test_to_energy_is_bit_equal_to_the_direct_transform(tau_max, tau_step,
-                                                        nudge):
-    import bosetherm.correlators as correlators
-
+def test_to_energy_matches_a_long_double_sum(tau_max, tau_step, nudge):
     tau = tau_grid(tau_max, tau_step)
     tau[-1] += nudge * tau_step
     rng = np.random.default_rng(tau.size)
@@ -512,11 +500,40 @@ def test_to_energy_is_bit_equal_to_the_direct_transform(tau_max, tau_step,
              np.linspace(-0.5 * nyquist, 0.5 * nyquist, 9),
              0.05 * nyquist * np.arange(-6, 11)]
     for energies in grids:
-        assert 0.0 in energies
-        kernel = correlators._phase_kernel(energies, series.tau)
-        assert kernel.tobytes() == \
-            np.exp(1j * np.outer(energies, series.tau)).tobytes()
         for window in WINDOW_KINDS:
             spec = to_energy(series, energies, window)
-            assert spec.values.tobytes() == \
-                _direct_transform(series, energies, window).tobytes()
+            want = _long_double_transform(series, energies, window)
+            mass = series.tau_step * np.abs(
+                window_values(tau, window) * series.values).sum()
+            assert np.abs(spec.values - want).max() <= 2e-14 * mass
+
+
+def test_to_energy_keeps_no_kernel_and_stays_small():
+    import tracemalloc
+
+    import bosetherm.correlators as correlators
+
+    # the thermometry benchmark's grids: 601 tau points, 1401 energies
+    tau = tau_grid(12.0, 0.04)
+    rng = np.random.default_rng(601)
+    series = TwoTimeSeries("lesser", (0, 0), 1.0, tau,
+                           rng.normal(size=tau.size)
+                           + 1j * rng.normal(size=tau.size))
+    energies = np.linspace(-35.0, 35.0, 1401)
+
+    def holds_an_array(value):
+        if isinstance(value, (tuple, list)):
+            return any(holds_an_array(v) for v in value)
+        return isinstance(value, np.ndarray)
+
+    tracemalloc.start()
+    try:
+        spec = to_energy(series, energies)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # a dense 1401 x 601 complex kernel alone is 13.5 MB
+    assert peak < 3.4e6
+    assert spec.values.shape == energies.shape
+    assert not any(holds_an_array(value)
+                   for value in vars(correlators).values())

@@ -42,6 +42,18 @@ def small_quench_config(outdir) -> dict:
     return dict(json.loads(SMALL_QUENCH.read_text()), output_dir=str(outdir))
 
 
+def run_small_quench(cfg, **kwargs) -> dict:
+    """run() through a thermometry stage on tests/small_quench.json, whose
+    one fitted level reads an FDT ratio below 1 and warns about it."""
+    with pytest.warns(UserWarning, match="unphysical occupation"):
+        manifest = run(cfg, **kwargs)
+    report = json.loads(
+        (Path(cfg["output_dir"]) / "thermometry.json").read_text())
+    (level,) = report["bose"][0]["levels"]
+    assert "FDT ratio below 1" in level["flags"]
+    return manifest
+
+
 def test_validate_config_applies_defaults(tmp_path):
     cfg = validate_config({"model": {"num_modes": 3, "num_particles": 2},
                            "output_dir": str(tmp_path)},
@@ -156,10 +168,10 @@ def test_rabi_occupation_curve(tmp_path):
 
 def test_rerun_writes_identical_artifacts(tmp_path):
     outdir = tmp_path / "out"
-    run(small_quench_config(outdir))
+    run_small_quench(small_quench_config(outdir))
     first = {p.name: p.read_bytes() for p in outdir.iterdir()
              if p.name != "manifest.json"}
-    run(small_quench_config(outdir))
+    run_small_quench(small_quench_config(outdir))
     second = {p.name: p.read_bytes() for p in outdir.iterdir()
               if p.name != "manifest.json"}
     assert first.keys() == second.keys()
@@ -169,7 +181,7 @@ def test_rerun_writes_identical_artifacts(tmp_path):
 
 def test_manifest_inventory_and_versions(tmp_path):
     outdir = tmp_path / "out"
-    manifest = run(small_quench_config(outdir))
+    manifest = run_small_quench(small_quench_config(outdir))
     assert set(manifest["versions"]) == {"bosetherm", "numpy", "scipy",
                                          "python", "blas", "threads"}
     assert set(manifest["versions"]["threads"]) == {
@@ -230,7 +242,7 @@ def test_a_run_diagonalizes_each_sector_once(tmp_path, monkeypatch):
                     getattr(module, name, None) is real:
                 monkeypatch.setattr(module, name, spy)
 
-    run(small_quench_config(tmp_path / "out"))
+    run_small_quench(small_quench_config(tmp_path / "out"))
     # build-spectrum diagonalizes N; evolve and greens reuse its artifacts
     # and greens diagonalizes N - 1 and N + 1
     assert sorted(calls["diagonalize"]) == [1, 2, 3]
@@ -252,7 +264,7 @@ def test_stages_rerun_from_persisted_artifacts(tmp_path):
     run(cfg, stages=["build-spectrum"])
     run(cfg, stages=["evolve"])
     run(cfg, stages=["greens"])
-    run(cfg, stages=["thermometry", "chaos", "fit"])
+    run_small_quench(cfg, stages=["thermometry", "chaos", "fit"])
     manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
     done = {name for name, rec in manifest["stages"].items()
             if rec["status"] == "ok"}
@@ -638,3 +650,71 @@ def test_relaxation_fits_flag_time_scales_the_trace_cannot_resolve(
                                           and "tau_fast" in flags[0])
     assert (entry["tau_slow"] > stop) == (flags is not None
                                           and "tau_slow" in flags[0])
+
+
+def test_fit_stage_records_the_warnings_of_its_fits(tmp_path):
+    t = np.arange(0.0, 400.5, 1.0)
+    entropy = 1.0 + 0.5 * np.exp(-t / 3.0) + 0.3 * np.exp(-t / 30.0)
+
+    def fit_entry(outdir, values):
+        outdir.mkdir()
+        write_csv(outdir / "entropy.csv", ["Jt", "entropy", "entropy_bound"],
+                  [t, values, np.full(t.size, 2.0)])
+        run({"model": {"num_modes": 3, "num_particles": 2},
+             "output_dir": str(outdir)}, stages=["fit"])
+        return json.loads(
+            (outdir / "relaxation_fits.json").read_text())["entropy"]
+
+    # a clean trace writes no warnings key, so its file keeps its bytes
+    clean = fit_entry(tmp_path / "clean", entropy)
+    assert "warnings" not in clean and "error" not in clean
+    # one corrupt sample in the tail overflows the plateau spread
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        glitched = fit_entry(tmp_path / "glitched",
+                             np.append(entropy[:-1], 1e300))
+    assert glitched["plateau_std"] is None
+    assert glitched["error"].startswith("ShortSeriesError")
+    assert [w["category"] for w in glitched["warnings"]] == ["RuntimeWarning"]
+    assert "overflow" in glitched["warnings"][0]["message"]
+
+
+def test_thermometry_records_the_warnings_of_each_fdt_fit(tmp_path):
+    # detailed balance f / r = exp(E / T) at T = 5, at two centre times; at
+    # the second, one energy of both spectra holds a corrupt 1e307
+    energies = np.linspace(-20.0, 20.0, 161)
+    shape = np.exp(-energies ** 2 / 200.0)
+    outdir = tmp_path / "out"
+    outdir.mkdir()
+    entries = []
+    for time_index, glitch in enumerate((None, 1e307)):
+        forward = shape * np.exp(energies / 10.0)
+        reverse = shape * np.exp(-energies / 10.0)
+        if glitch is not None:
+            forward[120] = reverse[120] = glitch
+        files = {}
+        for way, values in (("forward", forward), ("reversed", reverse)):
+            files[way] = f"density_{way}_t{time_index}.csv"
+            write_csv(outdir / files[way], ["E_over_J", "re", "im"],
+                      [energies, values, np.zeros_like(energies)])
+        entries.append({"time_index": time_index,
+                        "com_time": 10.0 * time_index, "green_files": {},
+                        "density_files": {"0,0": files}})
+    grid = {"start": -20.0, "stop": 20.0, "count": 161}
+    (outdir / "greens_index.json").write_text(json.dumps({
+        "window": "hann", "tau_max": 8.0, "tau_step": 0.1,
+        "energy_grid": grid, "green_pairs": [], "density_pairs": [[0, 0]],
+        "entries": entries}))
+    cfg = {"model": {"num_modes": 2, "num_particles": 2},
+           "measurement": {"energy_grid": grid, "green_pairs": [],
+                           "density_pairs": [[0, 0]]},
+           "fits": {"fdt_window": [2.0, 18.0]},
+           "output_dir": str(outdir)}
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        run(cfg, stages=["thermometry"])
+    clean, glitched = json.loads(
+        (outdir / "thermometry.json").read_text())["fdt"]["0,0"]
+    assert clean["temperature"] == pytest.approx(5.0, rel=1e-12)
+    assert clean["warnings"] == []
+    assert not glitched["thermal"]
+    assert [w["category"] for w in glitched["warnings"]] == ["RuntimeWarning"]
+    assert "overflow" in glitched["warnings"][0]["message"]
