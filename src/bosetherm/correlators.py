@@ -8,7 +8,8 @@ the neighbor sectors:
     greater G>_ij(t, tau) = -i <b_i(t1) b_j^dag(t2)>   (N+1 sector inside)
 
 Occupation correlators stay in the N sector. Every walk is an
-advance_columns block, one step count per column. The trajectory states
+advance_columns block, one step count per column, or, in the Green sweep,
+one per tau point for all its mode columns. The trajectory states
 psi(t + m*dtau/2), m = -K..K, are one block: psi0 in every column, each
 column with its own count. Each tau point then needs one sector walk on a
 few sector vectors; the walks of many tau points are stacked as the columns
@@ -296,19 +297,19 @@ def single_particle_correlator_set(psi0: StateVector, ladders: SectorLadders,
     greater = np.empty_like(lesser)
 
     for ks in _chunks(k_half, len(modes), basis.dim):
-        steps = np.repeat(ks * q, len(modes))
+        steps = ks * q  # one count per k, shared by the k's mode columns
         before, after = half[k_half - ks], half[k_half + ks]
         shape = (-1, ks.size, len(modes))
         # lower sector: w_m(k) = U(k dtau) b_m psi(t - k dtau/2)
         start = _mode_block(basis, before, modes, raising=False)
         w = advance_columns(ladders.lower, start.reshape(start.shape[0], -1),
-                            steps).reshape(shape)
+                            steps, len(modes)).reshape(shape)
         b = _mode_block(basis, after, modes, raising=False)
         cross_l = np.einsum("dka,dkb->kab", w.conj(), b)
         # upper sector: v_m(k) = U(k dtau) b_m^dag psi(t - k dtau/2)
         start = _mode_block(basis, before, modes, raising=True)
         v = advance_columns(ladders.upper, start.reshape(start.shape[0], -1),
-                            steps).reshape(shape)
+                            steps, len(modes)).reshape(shape)
         c = _mode_block(basis, after, modes, raising=True)
         cross_g = np.einsum("dka,dkb->kab", c.conj(), v)
         # tau < 0 first, so that tau = 0 (k = 0) keeps the tau > 0 reading

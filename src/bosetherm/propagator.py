@@ -40,7 +40,8 @@ EigenPropagator (exact). One diagonalization H = V E V^T gives
 U0^m = V exp(-i E m dt) V^T for any m, with no truncation, from one real
 dim x dim matrix when H is real symmetric (the model's is). Its column walk
 moves a block into the eigenbasis, multiplies each column by its own phases
-and moves it back, all columns at once.
+(one phase column per step count, shared by the columns that take it) and
+moves it back, all columns at once.
 """
 
 from __future__ import annotations
@@ -179,8 +180,10 @@ def _pack(matrix: np.ndarray, packed: np.ndarray) -> None:
 class Propagator:
     """U0^m on the lattice of a config, for one sector.
 
-    Subclasses supply _walk_columns, which advance_columns and advance call
-    once the step counts passed _check_span, and nbytes, the bytes they hold.
+    Subclasses supply _walk_columns(block, steps, group=1, offset=0), which
+    advance_columns and advance call once the step counts passed
+    _check_span: column c of the block takes steps[(c + offset) // group].
+    They also supply nbytes, the bytes they hold.
     """
 
     def __init__(self, basis, config: PropagatorConfig):
@@ -288,12 +291,13 @@ class PropagatorLadder(Propagator):
                 out = self._apply(k, out, backward)
         return np.conjugate(out, out=out) if backward else out
 
-    def _walk_columns(self, block: np.ndarray,
-                      steps: np.ndarray) -> np.ndarray:
-        """Column c is advance(block[:, c], steps[c])."""
+    def _walk_columns(self, block: np.ndarray, steps: np.ndarray,
+                      group: int = 1, offset: int = 0) -> np.ndarray:
+        """Column c is advance(block[:, c], steps[(c + offset) // group])."""
         out = np.empty(block.shape, dtype=np.complex128)
-        for c, count in enumerate(steps):
-            out[:, c] = self.advance(block[:, c], int(count))
+        for c in range(block.shape[1]):
+            count = int(steps[(c + offset) // group])
+            out[:, c] = self.advance(block[:, c], count)
         return out
 
 
@@ -364,14 +368,38 @@ class EigenPropagator(Propagator):
             held += self._adjoint.nbytes
         return held
 
-    def _walk_columns(self, block: np.ndarray,
-                      steps: np.ndarray) -> np.ndarray:
-        """Column c times exp(-i E steps[c] dt) in the eigenbasis."""
+    def _walk_columns(self, block: np.ndarray, steps: np.ndarray,
+                      group: int = 1, offset: int = 0) -> np.ndarray:
+        """Column c times exp(-i E steps[(c + offset) // group] dt) in the
+        eigenbasis: one phase column per step count, shared by its run of
+        columns."""
         coeff = _times(self._adjoint, block)
         phases = np.outer(-1j * self.energies, steps * self.base_step)
-        coeff *= np.exp(phases, out=phases)
+        _scale_runs(coeff, np.exp(phases, out=phases), group, offset)
         del phases  # at most two block-sized arrays live at a time
         return _times(self.vectors, coeff)
+
+
+def _scale_runs(coeff: np.ndarray, phases: np.ndarray, group: int,
+                offset: int) -> None:
+    """coeff[:, c] *= phases[:, (c + offset) // group], in place.
+
+    The whole runs of columns are one (rows, runs, group) view of coeff, so
+    no phase column is copied out per column; a run cut by either end of
+    the block is scaled on its own.
+    """
+    n = coeff.shape[1]
+    head = min(n, -offset % group)  # the end of a run begun before coeff
+    if head:
+        coeff[:, :head] *= phases[:, :1]
+    first = 1 if head else 0
+    runs = (n - head) // group
+    body = coeff[:, head:head + runs * group].reshape(len(coeff), runs,
+                                                      group)
+    body *= phases[:, first:first + runs, None]
+    tail = head + runs * group
+    if tail < n:
+        coeff[:, tail:] *= phases[:, first + runs:first + runs + 1]
 
 
 def build_eigen_propagator(op: SectorOperator, config: PropagatorConfig,
@@ -391,29 +419,35 @@ def build_eigen_propagator(op: SectorOperator, config: PropagatorConfig,
     return EigenPropagator(op.basis, config, eig.energies, eig.vectors)
 
 
-def advance_columns(ladder: Propagator, block: np.ndarray,
-                    steps) -> np.ndarray:
-    """Apply U0^steps[c] to column c of a (dim, columns) block.
+def advance_columns(ladder: Propagator, block: np.ndarray, steps,
+                    group: int = 1) -> np.ndarray:
+    """Apply U0^steps[c // group] to column c of a (dim, columns) block.
 
-    Column c comes out as ladder.advance(block[:, c], steps[c]) would give
+    Each step count serves a run of group adjacent columns, and column c
+    comes out as ladder.advance(block[:, c], steps[c // group]) would give
     it; negative counts evolve backward. Walking dim columns at a time
     keeps the working set to a few sector-sized arrays.
     """
     block = np.asarray(block)
     steps = np.asarray(steps, dtype=np.int64)
-    if block.ndim != 2 or steps.shape != (block.shape[1],):
+    if (block.ndim != 2 or group < 1 or steps.ndim != 1
+            or steps.size * group != block.shape[1]):
         raise ValueError(
-            f"need one step count per column of a 2-D block; got "
-            f"{steps.shape} counts for a block of shape {block.shape}")
+            f"need one step count per run of {group} columns of a 2-D "
+            f"block; got {steps.shape} counts for a block of shape "
+            f"{block.shape}")
     if steps.size:
         ladder._check_span(int(np.abs(steps).max()))
     width = ladder.basis.dim
-    if steps.size <= width:
-        return ladder._walk_columns(block, steps)
+    if block.shape[1] <= width:
+        return ladder._walk_columns(block, steps, group)
     out = np.empty(block.shape, dtype=np.complex128)
-    for lo in range(0, steps.size, width):
-        cols = slice(lo, lo + width)
-        out[:, cols] = ladder._walk_columns(block[:, cols], steps[cols])
+    for lo in range(0, block.shape[1], width):
+        hi = min(lo + width, block.shape[1])
+        first = lo // group
+        out[:, lo:hi] = ladder._walk_columns(
+            block[:, lo:hi], steps[first:-(-hi // group)], group,
+            lo - first * group)
     return out
 
 

@@ -40,6 +40,8 @@ import json
 import math
 import os
 import platform
+import resource
+import sys
 import time
 import warnings
 from dataclasses import asdict
@@ -936,6 +938,13 @@ def _inventory(outdir: Path) -> dict:
     return files
 
 
+def _peak_rss_bytes() -> int:
+    """The process's peak resident set so far; ru_maxrss counts KiB on
+    Linux and bytes on macOS."""
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    return int(peak) if sys.platform == "darwin" else int(peak) * 1024
+
+
 def run(config, stages=None) -> dict:
     """Execute pipeline stages and write manifest.json.
 
@@ -979,6 +988,7 @@ def run(config, stages=None) -> dict:
                       "error": f"{type(exc).__name__}: {exc}"}
             failure = exc
         record["seconds"] = round(time.perf_counter() - started, 3)
+        record["peak_rss_bytes"] = _peak_rss_bytes()
         manifest["stages"][name] = record
         if failure is not None:
             break

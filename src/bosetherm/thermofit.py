@@ -34,8 +34,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.linalg import norm
-from scipy.linalg import svd
+from scipy.linalg.lapack import get_lapack_funcs
 
 from .correlators import (CorrelatorSpectrum, _phase_sum, tau_grid,
                           window_values)
@@ -138,6 +137,38 @@ class _FitResult:
 
 
 _EPS = np.finfo(float).eps
+# the LAPACK routine scipy.linalg.svd calls, fetched as it fetches it
+_gesdd, _gesdd_lwork = get_lapack_funcs(("gesdd", "gesdd_lwork"),
+                                        dtype=np.float64, ilp64="preferred")
+
+
+def _norm(x: np.ndarray) -> float:
+    """The 2-norm of a 1-D array, as numpy.linalg.norm computes it."""
+    return np.sqrt(np.dot(x, x))
+
+
+@functools.lru_cache(maxsize=16)
+def _svd_lwork(m: int, n: int) -> int:
+    """gesdd's workspace for a thin SVD of an m x n matrix, as
+    scipy.linalg.svd asks for it."""
+    work, info = _gesdd_lwork(m, n, compute_uv=1, full_matrices=0)
+    if info != 0:
+        raise ValueError(
+            f"Internal work array size computation failed: {info}")
+    return int(work.real)
+
+
+def _thin_svd(a: np.ndarray):
+    """U, s, V^T of a finite float64 matrix: the one gesdd call
+    scipy.linalg.svd(a, full_matrices=False) makes, with its errors."""
+    u, s, vt, info = _gesdd(a, compute_uv=1, lwork=_svd_lwork(*a.shape),
+                            full_matrices=0, overwrite_a=0)
+    if info > 0:
+        raise np.linalg.LinAlgError("SVD did not converge")
+    if info < 0:
+        raise ValueError(
+            f"illegal value in {-info}th argument of internal gesdd")
+    return u, s, vt
 
 
 def _trust_region_fit(what: str, fun, x0: np.ndarray, jac=None, *,
@@ -149,7 +180,9 @@ def _trust_region_fit(what: str, fun, x0: np.ndarray, jac=None, *,
     (c) 2001-2002 Enthought, Inc. and 2003 onwards SciPy Developers) for
     method "trf" with the linear loss, no bounds, a dense Jacobian and the
     "exact" trust-region solver: scipy's ``trf_no_bounds`` with Moré's step
-    from one SVD (``solve_lsq_trust_region``). Without ``jac`` the Jacobian
+    from one SVD (``solve_lsq_trust_region``), taken by the one LAPACK
+    ``gesdd`` call ``scipy.linalg.svd`` makes (``_thin_svd``) without that
+    wrapper's per-call dispatch. Without ``jac`` the Jacobian
     is scipy's default 2-point forward difference; ``jac_scale`` is
     ``x_scale="jac"``, otherwise every parameter has scale 1. ftol and xtol
     are scipy's defaults; the termination rules, the evaluation budget (the
@@ -201,19 +234,19 @@ def _trust_region_fit(what: str, fun, x0: np.ndarray, jac=None, *,
         scale, scale_inv = column_scale(J)
     else:
         scale = scale_inv = np.ones(n)
-    Delta = norm(x * scale_inv)
+    Delta = _norm(x * scale_inv)
     if Delta == 0:
         Delta = 1.0
     alpha = 0.0  # the Levenberg-Marquardt parameter
     status = None
     while True:
-        if norm(g, ord=np.inf) < gtol:
+        if np.abs(g).max() < gtol:
             status = 1
         if status is not None or nfev == max_nfev:
             break
         g_h = scale * g
         J_h = J * scale
-        U, s, V = svd(J_h, full_matrices=False)
+        U, s, V = _thin_svd(J_h)
         V = V.T
         uf = U.T.dot(f)
         actual_reduction = -1
@@ -226,7 +259,7 @@ def _trust_region_fit(what: str, fun, x0: np.ndarray, jac=None, *,
             x_new = x + step
             f_new = residuals(x_new)
             nfev += 1
-            step_h_norm = norm(step_h)
+            step_h_norm = _norm(step_h)
             cost_new = 0.5 * np.dot(f_new, f_new)
             actual_reduction = cost - cost_new
             # scipy's update_tr_radius
@@ -243,7 +276,7 @@ def _trust_region_fit(what: str, fun, x0: np.ndarray, jac=None, *,
                 Delta_new *= 2.0
             # scipy's check_termination
             ftol_met = actual_reduction < ftol * cost and ratio > 0.25
-            xtol_met = norm(step) < xtol * (xtol + norm(x))
+            xtol_met = _norm(step) < xtol * (xtol + _norm(x))
             if ftol_met and xtol_met:
                 status = 4
             elif ftol_met:
@@ -275,16 +308,16 @@ def _more_step(n: int, m: int, uf: np.ndarray, s: np.ndarray, V: np.ndarray,
     ``solve_lsq_trust_region``."""
     def phi_and_derivative(alpha):
         denom = s ** 2 + alpha
-        p_norm = norm(suf / denom)
+        p_norm = _norm(suf / denom)
         return p_norm - Delta, -np.sum(suf ** 2 / denom ** 3) / p_norm
 
     suf = s * uf
     full_rank = m >= n and s[-1] > _EPS * m * s[0]
     if full_rank:
         p = -V.dot(uf / s)
-        if norm(p) <= Delta:
+        if _norm(p) <= Delta:
             return p, 0.0
-    alpha_upper = norm(suf) / Delta
+    alpha_upper = _norm(suf) / Delta
     if full_rank:
         phi, phi_prime = phi_and_derivative(0.0)
         alpha_lower = -phi / phi_prime
@@ -306,26 +339,36 @@ def _more_step(n: int, m: int, uf: np.ndarray, s: np.ndarray, V: np.ndarray,
             break
     p = -V.dot(suf / (s ** 2 + alpha))
     # rescale onto the boundary, so the step never leaves the region
-    p *= Delta / norm(p)
+    p *= Delta / _norm(p)
     return p, alpha
 
 
 def _lorentzian_model(params: np.ndarray, energies: np.ndarray,
+                      memo: dict | None = None,
                       jacobian: bool = False) -> np.ndarray:
     """Sum of peaks w (g/pi) / ((E - e0)^2 + g^2) over (w, e0, log g)
     triples, or its Jacobian in the same parameter order.
 
     With c = min(1, 1/g) and k = min(1, g), so that g = k/c, a peak reads
     w c k / (pi ((c (E - e0))^2 + k^2)). Neither factor exceeds 1, so no
-    log-width overflows.
+    log-width overflows. memo, a dict the caller keeps for one energy grid,
+    holds the terms of the last parameters, so the Jacobian at the point
+    whose residual was just taken reuses them.
     """
-    w, e0, log_g = params.reshape(-1, 3).T
-    c = np.exp(-np.maximum(log_g, 0.0))[:, None]
-    k = np.exp(np.minimum(log_g, 0.0))[:, None]
-    cd = c * (energies - e0[:, None])
-    denom = cd ** 2 + k ** 2
-    shape = c * k / (np.pi * denom)
-    peaks = w[:, None] * shape
+    key = params.tobytes()
+    terms = None if memo is None else memo.get(key)
+    if terms is None:
+        w, e0, log_g = params.reshape(-1, 3).T
+        c = np.exp(-np.maximum(log_g, 0.0))[:, None]
+        k = np.exp(np.minimum(log_g, 0.0))[:, None]
+        cd = c * (energies - e0[:, None])
+        denom = cd ** 2 + k ** 2
+        shape = c * k / (np.pi * denom)
+        terms = c, k, cd, denom, shape, w[:, None] * shape
+        if memo is not None:
+            memo.clear()
+            memo[key] = terms
+    c, k, cd, denom, shape, peaks = terms
     if not jacobian:
         return peaks.sum(axis=0)
     jac = np.empty((energies.size, params.size))
@@ -338,10 +381,11 @@ def _lorentzian_model(params: np.ndarray, energies: np.ndarray,
 def _raw_lorentzian_fit(energies: np.ndarray, data: np.ndarray,
                         starts: list[np.ndarray]):
     best = None
+    memo: dict = {}
     for x0 in starts:
         res = _trust_region_fit(
-            "peak", lambda p: _lorentzian_model(p, energies) - data, x0,
-            jac=lambda p: _lorentzian_model(p, energies, jacobian=True),
+            "peak", lambda p: _lorentzian_model(p, energies, memo) - data, x0,
+            jac=lambda p: _lorentzian_model(p, energies, memo, jacobian=True),
             max_nfev=MAX_FIT_ITERATIONS * x0.size, gtol=1e-12)
         if best is None or res.cost < best.cost:
             best = res

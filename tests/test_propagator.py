@@ -504,6 +504,61 @@ def test_eigen_advance_columns_matches_exact_states(sector):
         advance_columns(prop, block[:, 0], [1])
 
 
+def per_column_phase_walk(prop, block, steps):
+    """advance_columns on a real eigenbasis as it was before step counts
+    were shared: one phase column per block column, dim columns at a
+    time."""
+    def walk(cols, counts):
+        cols = np.ascontiguousarray(cols)
+        coeff = (prop.vectors.T @ cols.view(np.float64)).view(np.complex128)
+        phases = np.outer(-1j * prop.energies, counts * prop.base_step)
+        coeff *= np.exp(phases, out=phases)
+        return (prop.vectors @ coeff.view(np.float64)).view(np.complex128)
+    width = prop.basis.dim
+    if steps.size <= width:
+        return walk(block, steps)
+    out = np.empty(block.shape, dtype=np.complex128)
+    for lo in range(0, steps.size, width):
+        cols = slice(lo, lo + width)
+        out[:, cols] = walk(block[:, cols], steps[cols])
+    return out
+
+
+@pytest.mark.parametrize("particles", [5, 7])  # dims 126 and 330
+def test_grouped_eigen_walk_is_bit_equal_to_per_column_phases(particles):
+    op = model_op(5, particles)
+    prop = build_eigen_propagator(op, choose_base_step(op, horizon=107.0))
+    dim = op.basis.dim
+    rng = np.random.default_rng(particles)
+    # runs that fit in one walk, fill it, and cross its dim-column cuts at
+    # every offset within a run
+    for group, runs in [(1, dim), (5, 3), (5, dim // 5), (5, 42),
+                        (3, dim // 3 + 7), (7, 2 * dim // 7 + 1)]:
+        counts = rng.integers(-300, 300, runs)
+        counts[::3] = 0
+        counts[1::3] = np.abs(counts[1::3])
+        counts[2::3] = -np.abs(counts[2::3]) - 1
+        block = (rng.normal(size=(dim, group * runs))
+                 + 1j * rng.normal(size=(dim, group * runs)))
+        grouped = advance_columns(prop, block, counts, group)
+        want = per_column_phase_walk(prop, block, np.repeat(counts, group))
+        assert grouped.tobytes() == want.tobytes(), (group, runs)
+
+
+def test_grouped_ladder_walk_matches_per_column_advance():
+    rng = np.random.default_rng(35)
+    op = random_hermitian_op(6, rng)
+    ladder = build_ladder(op, PropagatorConfig(base_step=0.01, depth=6))
+    counts = np.array([3, 0, -5, 17, -1])
+    block = rng.normal(size=(6, 15)) + 1j * rng.normal(size=(6, 15))
+    walked = advance_columns(ladder, block, counts, 3)
+    for col in range(15):
+        want = ladder.advance(block[:, col], int(counts[col // 3]))
+        assert walked[:, col].tobytes() == want.tobytes()
+    with pytest.raises(ValueError):
+        advance_columns(ladder, block, counts, 2)
+
+
 def test_eigen_propagator_keeps_the_ladder_lattice():
     op = model_op(3, 2)
     cfg = choose_base_step(op, horizon=30.0, align_to=0.01)
@@ -561,14 +616,16 @@ def test_eigen_walk_holds_at_most_two_block_sized_arrays():
     prop = build_eigen_propagator(op, choose_base_step(op, horizon=50.0))
     dim = op.basis.dim
     rng = np.random.default_rng(32)
-    # a sweep repeats each count once per mode; a trajectory repeats none
-    for steps in (np.repeat(np.arange(dim // 5) * 4, 5),
-                  3 * np.arange(-dim // 2, dim // 2)):
-        block = (rng.normal(size=(dim, steps.size))
-                 + 1j * rng.normal(size=(dim, steps.size)))
+    # a sweep repeats each count once per mode, given per column or once
+    # per run of mode columns; a trajectory repeats none
+    for steps, group in ((np.repeat(np.arange(dim // 5) * 4, 5), 1),
+                         (np.arange(dim // 5) * 4, 5),
+                         (3 * np.arange(-dim // 2, dim // 2), 1)):
+        block = (rng.normal(size=(dim, steps.size * group))
+                 + 1j * rng.normal(size=(dim, steps.size * group)))
         tracemalloc.start()
         try:
-            prop._walk_columns(block, steps)
+            prop._walk_columns(block, steps, group)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

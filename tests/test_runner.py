@@ -196,6 +196,13 @@ def test_manifest_inventory_and_versions(tmp_path):
     for stage in manifest["stages"].values():
         assert stage["status"] == "ok"
         assert stage["seconds"] >= 0.0
+    # each stage records the process's peak resident set when it ended, in
+    # bytes: an interpreter with numpy loaded holds far more than 1 MiB
+    peaks = [manifest["stages"][name]["peak_rss_bytes"]
+             for name in STAGES if name in manifest["stages"]]
+    assert len(peaks) == len(manifest["stages"])
+    assert all(type(peak) is int and peak > 2 ** 20 for peak in peaks)
+    assert peaks == sorted(peaks)
     # the manifest echoes the configured grid; the times that ran are the
     # snapped lattice times in the Jt column and the greens diagnostics
     configured = validate_config(small_quench_config(outdir))["measurement"]

@@ -435,6 +435,24 @@ def test_lorentzian_fit_at_its_evaluation_budget_matches_scipy(monkeypatch):
     assert_matches_scipy(calls)
 
 
+@pytest.mark.parametrize("info,error,message", [
+    (1, np.linalg.LinAlgError, "SVD did not converge"),
+    (-3, ValueError, "illegal value in 3th argument")])
+def test_gesdd_failures_raise_what_scipy_svd_raised(monkeypatch, info, error,
+                                                    message):
+    # the port calls LAPACK's gesdd itself; a failure it reports must end
+    # the fit as scipy.linalg.svd's check of the same info did
+    energies = np.linspace(0.0, 20.0, 401)
+    data = lorentzian(energies, 1.0, 10.0, 0.5)
+    gesdd = thermofit._gesdd
+
+    def failing(*args, **kwargs):
+        return (*gesdd(*args, **kwargs)[:3], info)
+    monkeypatch.setattr(thermofit, "_gesdd", failing)
+    with pytest.raises(error, match=message):
+        fit_lorentzians(spectrum_of(energies, data), 1, seed_centers=[6.0])
+
+
 def test_coincident_peaks_match_scipy(monkeypatch):
     # two peaks seeded on one centre: equal Jacobian columns, rank 3 of 6
     energies = np.linspace(-5.0, 25.0, 351)
