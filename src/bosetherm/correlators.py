@@ -40,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AliasingError, GridMismatchError, SectorMismatchError
-from .fock import FockBasis, StateVector
+from .fock import FockBasis, StateVector, check_same_sector
 from .hamiltonian import EigenSystem, build_hamiltonian
 from .propagator import (
     Propagator,
@@ -225,8 +225,7 @@ def _trajectory(ladder: Propagator, psi0: StateVector, com_time: float,
     Returns (rows, K, base steps per tau step, snapped t). All 2K + 1 rows
     are one advance_columns block of psi0.
     """
-    if psi0.basis is not ladder.basis:
-        raise SectorMismatchError("initial state is not in the center sector")
+    check_same_sector(psi0.basis, ladder.basis, "initial state")
     half = _validate_tau(tau) / 2.0
     q2 = _whole_multiple(half, ladder.base_step)
     if not q2:
@@ -377,12 +376,26 @@ def density_correlators(psi0: StateVector, ladders, pair, com_time: float,
     return fwd, rev
 
 
+def _check_same_time(a, b, what: str) -> None:
+    if abs(a.com_time - b.com_time) > 1e-9 * max(1.0, abs(a.com_time)):
+        raise GridMismatchError(f"{what} center-of-mass times differ")
+
+
+def check_same_grid(a: CorrelatorSpectrum, b: CorrelatorSpectrum,
+                    what: str) -> None:
+    """Raise GridMismatchError unless two spectra share their energy grid,
+    to 1e-9, and their center-of-mass time."""
+    if a.energies.shape != b.energies.shape or \
+            np.abs(a.energies - b.energies).max() > 1e-9:
+        raise GridMismatchError(f"{what} energy grids differ")
+    _check_same_time(a, b, what)
+
+
 def _require_same_grid(a: TwoTimeSeries, b: TwoTimeSeries) -> None:
     if a.tau.shape != b.tau.shape or \
             np.abs(a.tau - b.tau).max() > 1e-9 * a.tau_step:
         raise GridMismatchError("series grids differ")
-    if abs(a.com_time - b.com_time) > 1e-9 * max(1.0, abs(a.com_time)):
-        raise GridMismatchError("series center-of-mass times differ")
+    _check_same_time(a, b, "series")
     if a.pair != b.pair:
         raise GridMismatchError(f"series pairs differ: {a.pair} vs {b.pair}")
 
@@ -445,6 +458,16 @@ def _phase_sum(energies: np.ndarray, tau: np.ndarray,
     return sums.sum(axis=1)
 
 
+def check_nyquist(energies, tau_step: float) -> None:
+    """Raise AliasingError when some |E| passes the Nyquist limit
+    pi / tau_step (to a relative 1e-12); an empty grid passes."""
+    emax = float(np.abs(energies).max(initial=0.0))
+    if emax * tau_step > math.pi * (1.0 + 1e-12):
+        raise AliasingError(
+            f"energy grid reaches |E| = {emax:g} but a tau step of "
+            f"{tau_step:g} only resolves |E| <= {math.pi / tau_step:g}")
+
+
 def to_energy(series: TwoTimeSeries, energies: np.ndarray,
               window: str = "hann") -> CorrelatorSpectrum:
     """f(E) = dtau * sum_k w(tau_k) C(tau_k) exp(+i E tau_k).
@@ -456,11 +479,7 @@ def to_energy(series: TwoTimeSeries, energies: np.ndarray,
     """
     energies = np.asarray(energies, dtype=float)
     step = series.tau_step
-    emax = float(np.abs(energies).max()) if energies.size else 0.0
-    if emax * step > np.pi * (1.0 + 1e-12):
-        raise AliasingError(
-            f"|E| up to {emax:.4f} exceeds the Nyquist limit "
-            f"{np.pi / step:.4f} of a tau step {step:.4e}")
+    check_nyquist(energies, step)
     w = window_values(series.tau, window)
     vals = step * _phase_sum(energies, series.tau, w * series.values)
     return CorrelatorSpectrum(series.kind, series.pair, series.com_time,
@@ -492,11 +511,7 @@ def trace_levels(spectra) -> CorrelatorSpectrum:
     for s in spectra:
         if s.kind != first.kind or s.window != first.window:
             raise GridMismatchError("cannot trace spectra of mixed kind")
-        if s.energies.shape != first.energies.shape or \
-                np.abs(s.energies - first.energies).max() > 1e-9:
-            raise GridMismatchError("spectra energy grids differ")
-        if abs(s.com_time - first.com_time) > 1e-9 * max(1.0, abs(first.com_time)):
-            raise GridMismatchError("spectra center-of-mass times differ")
+        check_same_grid(first, s, "spectra")
         total += s.values
     return CorrelatorSpectrum(first.kind, None, first.com_time,
                               first.energies.copy(), total, first.window,

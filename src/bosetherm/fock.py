@@ -140,6 +140,14 @@ class FockBasis:
         return self._ladder_map(mode, True)
 
 
+def check_same_sector(basis: FockBasis, want: FockBasis, what: str) -> None:
+    """Raise SectorMismatchError naming both sectors unless their totals
+    (M, N) agree; the enumeration depends on nothing else."""
+    if (basis.num_modes, basis.num_particles) != \
+            (want.num_modes, want.num_particles):
+        raise SectorMismatchError(f"{what}: {basis} is not {want}")
+
+
 @lru_cache(maxsize=None)
 def _cached_basis(num_modes: int, num_particles: int) -> FockBasis:
     return FockBasis(num_modes, num_particles)
@@ -202,15 +210,9 @@ class StateVector:
         return StateVector(self.basis, self.amplitudes.copy())
 
 
-def _same_sector(a: FockBasis, b: FockBasis) -> bool:
-    return a.num_modes == b.num_modes and a.num_particles == b.num_particles
-
-
 def overlap(bra: StateVector, ket: StateVector) -> complex:
     """<bra|ket>, with the complex conjugate on the bra side."""
-    if not _same_sector(bra.basis, ket.basis):
-        raise SectorMismatchError(
-            f"overlap between {bra.basis} and {ket.basis}")
+    check_same_sector(ket.basis, bra.basis, "overlap")
     return complex(np.vdot(bra.amplitudes, ket.amplitudes))
 
 

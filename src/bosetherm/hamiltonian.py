@@ -35,7 +35,7 @@ import scipy.linalg as la
 import scipy.sparse as sp
 
 from .errors import EmptyWindowError, IntegrityError, NumericsError
-from .fock import FockBasis, StateVector, enumerate_basis
+from .fock import FockBasis, StateVector, check_same_sector, enumerate_basis
 
 # reference values for the adjacent-gap ratio statistic
 GOE_MEAN_R = 0.5307
@@ -88,11 +88,11 @@ class SectorOperator:
         object.__setattr__(self, "matrix", m)
 
     def apply(self, state: StateVector) -> StateVector:
-        if state.basis is not self.basis:
-            raise ValueError("state lives in a different sector")
+        check_same_sector(state.basis, self.basis, "state of an operator")
         return StateVector(self.basis, self.matrix @ state.amplitudes)
 
     def expectation(self, state: StateVector) -> complex:
+        check_same_sector(state.basis, self.basis, "state of an operator")
         return complex(np.vdot(state.amplitudes,
                                self.matrix @ state.amplitudes))
 
@@ -182,8 +182,7 @@ class EigenSystem:
 
     def coefficients(self, state: StateVector) -> np.ndarray:
         """Expansion of a state over the eigenvectors."""
-        if state.basis is not self.basis:
-            raise ValueError("state lives in a different sector")
+        check_same_sector(state.basis, self.basis, "state of an eigensystem")
         return self.vectors.conj().T @ state.amplitudes
 
 

@@ -22,8 +22,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import IntegrityError, SectorMismatchError
-from .fock import FockBasis, StateVector, enumerate_basis, sector_dimension
+from .errors import IntegrityError
+from .fock import (FockBasis, StateVector, check_same_sector, enumerate_basis,
+                   sector_dimension)
 
 
 @dataclass(frozen=True)
@@ -152,8 +153,7 @@ class ReducedDensityMatrix:
 def reduced_density(state: StateVector, pm: PartitionMap) -> ReducedDensityMatrix:
     """Trace out the reservoir modes of a pure state: the block
     coefficients, from which the dense matrix is formed when asked for."""
-    if state.basis is not pm.basis:
-        raise SectorMismatchError("state sector does not match the partition")
+    check_same_sector(state.basis, pm.basis, "state of a partition")
     flat = state.amplitudes[pm._gather]
     coeffs = [flat[start:start + b.size * b.reservoir_size].reshape(
         b.size, b.reservoir_size) for b, start in zip(pm.blocks, pm._starts)]

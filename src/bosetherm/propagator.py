@@ -53,13 +53,8 @@ from typing import ClassVar
 import numpy as np
 from scipy.linalg.blas import zspmv, zsyrk
 
-from .errors import (
-    CapacityError,
-    SectorMismatchError,
-    StepTooLargeError,
-    UnreachableTimeError,
-)
-from .fock import StateVector
+from .errors import CapacityError, StepTooLargeError, UnreachableTimeError
+from .fock import StateVector, check_same_sector
 from .hamiltonian import EigenSystem, SectorOperator, diagonalize
 
 MAX_STEP_FACTOR = 0.1
@@ -414,8 +409,8 @@ def build_eigen_propagator(op: SectorOperator, config: PropagatorConfig,
             f"{config.max_rung_bytes}")
     if eig is None:
         eig = diagonalize(op)
-    elif eig.basis is not op.basis:
-        raise SectorMismatchError("eigensystem and operator sectors differ")
+    else:
+        check_same_sector(eig.basis, op.basis, "eigensystem of an operator")
     return EigenPropagator(op.basis, config, eig.energies, eig.vectors)
 
 
@@ -454,10 +449,7 @@ def advance_columns(ladder: Propagator, block: np.ndarray, steps,
 def evolve_to(ladder: Propagator, state: StateVector, t: float,
               snap: bool = True) -> StateVector:
     """Propagate a state to (the lattice time nearest) t."""
-    if state.basis is not ladder.basis:
-        raise SectorMismatchError(
-            f"state sector {state.basis} does not match ladder sector "
-            f"{ladder.basis}")
+    check_same_sector(state.basis, ladder.basis, "state of a propagator")
     m, _ = ladder.snap(t, strict=not snap)
     return StateVector(ladder.basis, ladder.advance(state.amplitudes, m))
 

@@ -51,7 +51,7 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .errors import ConfigError, NumericsError
+from .errors import AliasingError, ConfigError, NumericsError
 from .fock import DIM_CAP, StateVector, enumerate_basis, sector_dimension
 from .hamiltonian import (GOE_MEAN_R, POISSON_MEAN_R, EigenSystem,
                           HamiltonianParams, _apply_terms, _hamiltonian_terms,
@@ -60,7 +60,8 @@ from .propagator import advance_columns
 from .states import microcanonical_state, occupation_state, state_spectrum
 from .partition import build_partition, entanglement_entropy, reduced_density
 from .correlators import (WINDOW_KINDS, CorrelatorSpectrum, _whole_multiple,
-                          build_sector_ladders, density_correlators,
+                          build_sector_ladders, check_nyquist,
+                          density_correlators,
                           keldysh_and_spectral, single_particle_correlator_set,
                           tau_grid, to_energy, trace_levels)
 from .thermofit import (fit_biexponential, fit_bose_einstein, fit_lorentzians,
@@ -209,12 +210,10 @@ def _optional(parse):
     return parse_optional
 
 
-def _read_block(block, table: dict, path: str, model=None,
-                known=None) -> dict:
-    """Check the block's keys against known (default: the table's keys),
-    then parse each key of the table or take its default. A nested table
-    parses a nested block."""
-    _check_keys(block, table if known is None else known, path)
+def _read_block(block, table: dict, path: str, model=None) -> dict:
+    """Check the block's keys against the table's, then parse each key of
+    the table or take its default. A nested table parses a nested block."""
+    _check_keys(block, table, path)
     out = {}
     for key, (parse, default) in table.items():
         value = block.get(key)
@@ -242,10 +241,12 @@ _PROPAGATION = {
     "horizon": (_optional(_positive), None),
 }
 
-# one table per initial_state kind; a block may name the keys of both
+# one table per initial_state kind; a block names the keys of its kind only
 _INITIAL_STATES = {
-    "occupation": {"occupation": (_occupation, None)},
-    "microcanonical": {"window": (_interval(strict=False), None),
+    "occupation": {"kind": (_choice(("occupation",)), None),
+                   "occupation": (_occupation, None)},
+    "microcanonical": {"kind": (_choice(("microcanonical",)), None),
+                       "window": (_interval(strict=False), None),
                        "random_phases": (_bool, False)},
 }
 
@@ -310,21 +311,16 @@ def validate_config(raw: dict, stages=None) -> dict:
     _require(raw.get("model") is not None, "model block is required")
     model = _read_block(raw["model"], _MODEL, "model")
     num_particles = model["num_particles"]
-    dim = sector_dimension(model["num_modes"], num_particles)
-    _require(dim <= DIM_CAP,
-             f"model sector has dimension {dim}, above the cap {DIM_CAP}")
 
     prop = _read_block(raw.get("propagation", {}), _PROPAGATION, "propagation")
 
     state = raw.get("initial_state")
     if state is not None:
         _require(isinstance(state, dict), "initial_state must be an object")
-        kind = state.get("kind")
-        _require(kind in ("occupation", "microcanonical"),
-                 "initial_state.kind must be 'occupation' or 'microcanonical'")
-        state = {"kind": kind, **_read_block(
-            state, _INITIAL_STATES[kind], "initial_state", model,
-            known=("kind", "occupation", "window", "random_phases"))}
+        kind = _choice(tuple(_INITIAL_STATES))(state.get("kind"),
+                                               "initial_state.kind", model)
+        state = _read_block(state, _INITIAL_STATES[kind], "initial_state",
+                            model)
         if kind == "occupation":
             _require(sum(state["occupation"]) == num_particles,
                      f"initial_state.occupation must sum to {num_particles}")
@@ -337,11 +333,11 @@ def validate_config(raw: dict, stages=None) -> dict:
     grid = meas["energy_grid"]
     _require(grid["stop"] > grid["start"],
              "measurement.energy_grid.stop must exceed start")
-    e_top = max(abs(grid["start"]), abs(grid["stop"]))
-    _require(e_top * tau_step <= math.pi * (1.0 + 1e-12),
-             f"energy grid reaches |E| = {e_top:g} but the tau step only "
-             f"resolves |E| <= {math.pi / tau_step:g}; shrink tau_step or "
-             "the grid")
+    try:
+        check_nyquist([grid["start"], grid["stop"]], tau_step)
+    except AliasingError as exc:
+        raise ConfigError(f"{exc}; shrink measurement.tau_step or the "
+                          "energy grid") from exc
 
     fits = _read_block(raw.get("fits", {}), _FITS, "fits", model)
     _require(fits["seed_centers"] is None
@@ -363,6 +359,11 @@ def validate_config(raw: dict, stages=None) -> dict:
            "seed": _int()(raw.get("seed", 1), "configuration.seed", model)}
 
     active = cfg["stages"] if stages is None else list(stages)
+    # the largest sector the stages build: N, or N+1 for Green pairs
+    top = num_particles + ("greens" in active and bool(meas["green_pairs"]))
+    dim = sector_dimension(model["num_modes"], top)
+    _require(dim <= DIM_CAP, f"the {top}-particle sector has dimension {dim}, "
+             f"above the cap {DIM_CAP}")
     for stage in ("evolve", "greens"):
         _require(stage not in active or state is not None,
                  f"the {stage} stage needs an initial_state block")
@@ -501,15 +502,12 @@ def _model_sector(cfg: dict, outdir: Path, horizon: float, neighbors: bool,
     prop = cfg["propagation"]
     if prop["horizon"]:
         horizon = max(horizon, prop["horizon"])
-    dim = sector_dimension(params.num_modes,
-                           params.num_particles + int(neighbors))
-    # validated models passed the sector-dimension cap, so size the
-    # one-matrix guard to the largest sector instead of refusing large
-    # sectors outright
+    # validation capped every sector the stage builds at DIM_CAP, so the
+    # one-matrix guard admits any of them
     ladders = build_sector_ladders(params, horizon, tau_step=tau_step,
                                    target_error=prop["target_error"],
                                    neighbors=neighbors, center=eig,
-                                   max_rung_bytes=max(2 ** 31, 16 * dim * dim))
+                                   max_rung_bytes=8 * DIM_CAP ** 2)
     if block["kind"] == "occupation":
         psi0 = occupation_state(ladders.center.basis, block["occupation"])
     else:
@@ -692,22 +690,21 @@ def _load_spectrum_csv(outdir: Path, name: str, kind: str, pair,
                               tau_step=index["tau_step"])
 
 
-def _level_flags(center: float, width: float, weight: float,
-                 occupation: float, energies: np.ndarray) -> list:
+def _level_flags(level: dict, energies: np.ndarray) -> list:
     """Why a fitted level cannot be read as a level of the energy grid with
     a physical occupation: a spectral weight that is not positive, or an
     FDT ratio 2n + 1 below 1, cannot come from a thermal level."""
     lo, hi = float(energies[0]), float(energies[-1])
     flags = []
-    if width > hi - lo:
+    if level["width"] > hi - lo:
         flags.append("width exceeds the energy grid span")
-    if width < float(energies[1] - energies[0]):
+    if level["width"] < float(energies[1] - energies[0]):
         flags.append("width below the energy grid spacing")
-    if not lo <= center <= hi:
+    if not lo <= level["center"] <= hi:
         flags.append("center outside the energy grid")
-    if weight <= 0.0:
+    if level["spectral_weight"] <= 0.0:
         flags.append("spectral weight not positive")
-    if occupation < 0.0:
+    if level["occupation"] < 0.0:
         flags.append("FDT ratio below 1")
     return flags
 
@@ -735,43 +732,45 @@ def _recorded_warnings(record: dict):
                                registry=registries.setdefault(w.filename, {}))
 
 
+@contextlib.contextmanager
+def _fit_record(record: dict):
+    """Run a fit that writes into record under _recorded_warnings; a typed
+    failure (NumericsError) ends it as record["error"]."""
+    with _recorded_warnings(record):
+        try:
+            yield
+        except NumericsError as exc:
+            record["error"] = f"{type(exc).__name__}: {exc}"
+
+
 def _fit_trace_levels(record: dict, spec_a: CorrelatorSpectrum,
                       spec_k: CorrelatorSpectrum, peak_count: int,
                       seeds) -> None:
-    """Levels of the traced A and i G_K and their Bose-Einstein fit, or the
-    reason there is none, into record."""
-    t = record["com_time"]
-    try:
-        peaks_a = fit_lorentzians(spec_a, peak_count, seed_centers=seeds)
-        peaks_k = fit_lorentzians(spec_k, peak_count,
-                                  seed_centers=peaks_a.centers)
-        levels = []
-        points_e, points_n = [], []
-        for p in range(peak_count):
-            occ = occupation_from_fdt(-1j * peaks_k.weights[p],
-                                      peaks_a.weights[p])
-            level = {"center": peaks_a.centers[p],
-                     "width": peaks_a.widths[p],
-                     "spectral_weight": peaks_a.weights[p],
-                     "keldysh_weight": peaks_k.weights[p],
-                     "occupation": occ}
-            flags = _level_flags(peaks_a.centers[p], peaks_a.widths[p],
-                                 peaks_a.weights[p], occ, spec_a.energies)
-            if flags:
-                level["flags"] = flags
-            levels.append(level)
-            if peaks_a.centers[p] > 0.0 and not flags:
-                points_e.append(peaks_a.centers[p])
-                points_n.append(occ)
-        record["levels"] = levels
-        if len(points_e) >= 2:
-            record["bose"] = asdict(fit_bose_einstein(points_e, points_n))
-            record["bose"]["time"] = t
-        else:
-            record["error"] = ("fewer than 2 unflagged positive-energy "
-                               "levels; no temperature fit")
-    except NumericsError as exc:
-        record["error"] = f"{type(exc).__name__}: {exc}"
+    """Levels of the traced A and i G_K and their Bose-Einstein fit, or why
+    too few levels allow none, into record; a failed fit raises."""
+    peaks_a = fit_lorentzians(spec_a, peak_count, seed_centers=seeds)
+    peaks_k = fit_lorentzians(spec_k, peak_count, seed_centers=peaks_a.centers)
+    levels = []
+    for p in range(peak_count):
+        level = {"center": peaks_a.centers[p],
+                 "width": peaks_a.widths[p],
+                 "spectral_weight": peaks_a.weights[p],
+                 "keldysh_weight": peaks_k.weights[p],
+                 "occupation": occupation_from_fdt(-1j * peaks_k.weights[p],
+                                                   peaks_a.weights[p])}
+        flags = _level_flags(level, spec_a.energies)
+        if flags:
+            level["flags"] = flags
+        levels.append(level)
+    record["levels"] = levels
+    points = [(lv["center"], lv["occupation"]) for lv in levels
+              if lv["center"] > 0.0 and "flags" not in lv]
+    if len(points) >= 2:
+        record["bose"] = asdict(fit_bose_einstein(*zip(*points)))
+        record["bose"]["time"] = record["com_time"]
+    else:
+        record["error"] = ("fewer than 2 unflagged positive-energy "
+                           "levels; no temperature fit")
 
 
 def _stage_thermometry(cfg: dict, outdir: Path):
@@ -800,7 +799,7 @@ def _stage_thermometry(cfg: dict, outdir: Path):
                 for kind in ("spectral", "keldysh"))
             # fit i G_K, whose thermal trace is a sum of positive peaks
             spec_k.values = 1j * spec_k.values
-            with _recorded_warnings(record):
+            with _fit_record(record):
                 _fit_trace_levels(record, spec_a, spec_k, peak_count, seeds)
             if "bose" in record:
                 bose_temperatures.append(record["bose"]["temperature"])
@@ -811,26 +810,23 @@ def _stage_thermometry(cfg: dict, outdir: Path):
     fdt_temperatures = {}
     for pair in index["density_pairs"]:
         key = f"{pair[0]},{pair[1]}"
-        spectra_pairs = []
+        timeline = []
         for entry in index["entries"]:
             files = entry["density_files"].get(key)
             if files is None:
                 continue
-            t = entry["com_time"]
-            spectra_pairs.append(tuple(_load_spectrum_csv(
-                outdir, files[way], f"density_{way}", tuple(pair), t, index)
-                for way in ("forward", "reversed")))
-        if not spectra_pairs:
-            continue
-        timeline = []
-        for spectra in spectra_pairs:
+            spectra = tuple(_load_spectrum_csv(
+                outdir, files[way], f"density_{way}", tuple(pair),
+                entry["com_time"], index) for way in ("forward", "reversed"))
+            # a typed error here fails the stage
             fit: dict = {}
             with _recorded_warnings(fit):
                 fit.update(asdict(temperature_timeline(
                     [spectra], fits["fdt_window"])[0]))
             timeline.append(fit)
-        report["fdt"][key] = timeline
-        fdt_temperatures[key] = [f["temperature"] for f in timeline]
+        if timeline:
+            report["fdt"][key] = timeline
+            fdt_temperatures[key] = [f["temperature"] for f in timeline]
 
     _write_json(outdir / "thermometry.json", report)
     diag = {"bose_temperatures": bose_temperatures,
@@ -858,29 +854,25 @@ def _relaxation_entry(times: np.ndarray, values: np.ndarray,
     """The plateau and bi-exponential fit of one trace, with its flags and,
     when any were raised, its warnings."""
     entry: dict = {}
-    caught: dict = {}
-    with _recorded_warnings(caught):
-        try:
-            plateau, sigma = plateau_stats(values, tail_fraction)
-            entry.update(plateau=plateau, plateau_std=sigma)
-            fit = fit_biexponential(times, values, plateau, noise_floor=sigma)
-            entry.update(amplitude_fast=fit.amplitude_fast,
-                         amplitude_slow=fit.amplitude_slow,
-                         tau_fast=fit.tau_fast, tau_slow=fit.tau_slow,
-                         residual=fit.residual, detail=fit.detail)
-            # a time scale the samples cannot resolve is a fit artefact
-            flags = []
-            spacing = np.diff(np.unique(times))
-            if spacing.size and fit.tau_fast < spacing.min():
-                flags.append("tau_fast below the sample step")
-            if fit.tau_slow > float(times[-1] - times[0]):
-                flags.append("tau_slow exceeds the sampled span")
-            if flags:
-                entry["flags"] = flags
-        except NumericsError as exc:
-            entry["error"] = f"{type(exc).__name__}: {exc}"
-    if caught["warnings"]:
-        entry["warnings"] = caught["warnings"]
+    with _fit_record(entry):
+        plateau, sigma = plateau_stats(values, tail_fraction)
+        entry.update(plateau=plateau, plateau_std=sigma)
+        fit = fit_biexponential(times, values, plateau, noise_floor=sigma)
+        entry.update(amplitude_fast=fit.amplitude_fast,
+                     amplitude_slow=fit.amplitude_slow,
+                     tau_fast=fit.tau_fast, tau_slow=fit.tau_slow,
+                     residual=fit.residual, detail=fit.detail)
+        # a time scale the samples cannot resolve is a fit artefact
+        flags = []
+        spacing = np.diff(np.unique(times))
+        if spacing.size and fit.tau_fast < spacing.min():
+            flags.append("tau_fast below the sample step")
+        if fit.tau_slow > float(times[-1] - times[0]):
+            flags.append("tau_slow exceeds the sampled span")
+        if flags:
+            entry["flags"] = flags
+    if not entry["warnings"]:
+        del entry["warnings"]
     return entry
 
 

@@ -36,9 +36,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg.lapack import get_lapack_funcs
 
-from .correlators import (CorrelatorSpectrum, _phase_sum, tau_grid,
-                          window_values)
-from .errors import FitConvergenceError, GridMismatchError, ShortSeriesError
+from .correlators import (CorrelatorSpectrum, _phase_sum, check_same_grid,
+                          tau_grid, window_values)
+from .errors import FitConvergenceError, ShortSeriesError
 
 MAX_FIT_ITERATIONS = 500
 # |log gamma| below which gamma^2 is a positive, finite float
@@ -586,11 +586,10 @@ def fit_fdt_beta(forward: CorrelatorSpectrum, reverse: CorrelatorSpectrum,
 
     Only points where both spectra are positive enter; weights proportional
     to min(f, r) suppress noise-floor energies. beta <= 0 is returned
-    flagged as not thermal rather than raised.
+    flagged as not thermal rather than raised. The spectra must share one
+    energy grid and center-of-mass time.
     """
-    if forward.energies.shape != reverse.energies.shape or \
-            np.abs(forward.energies - reverse.energies).max() > 1e-9:
-        raise GridMismatchError("forward and reversed spectra grids differ")
+    check_same_grid(forward, reverse, "forward and reversed spectra")
     lo, hi = float(e_window[0]), float(e_window[1])
     if not lo < hi:
         raise ValueError("energy window must be ordered (low, high)")

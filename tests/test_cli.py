@@ -66,8 +66,13 @@ def test_config_problems_exit_two(tmp_path, capsys):
     cfg = rabi_config(tmp_path / "out")
     cfg["model"]["num_modes"] = 0
     assert main(["run", write_config(tmp_path / "zero.json", cfg)]) == 2
+    mixed = rabi_config(tmp_path / "mixed_out")
+    mixed["initial_state"]["window"] = [-2.0, 2.0]
+    assert main(["run", write_config(tmp_path / "mixed.json", mixed)]) == 2
+    assert not (tmp_path / "mixed_out").exists()
     err = capsys.readouterr().err
     assert "configuration error" in err
+    assert "unknown key 'window' in initial_state" in err
 
 
 def test_numerics_problems_exit_three(tmp_path, capsys):

@@ -9,7 +9,12 @@ import pytest
 
 import oracles
 from bosetherm import StateVector, apply_number, enumerate_basis, overlap
-from bosetherm.errors import EmptyWindowError, IntegrityError
+from bosetherm.errors import (EmptyWindowError, IntegrityError,
+                              SectorMismatchError)
+from bosetherm.fock import FockBasis
+from bosetherm.partition import build_partition, reduced_density
+from bosetherm.propagator import (PropagatorConfig, build_eigen_propagator,
+                                  evolve_to)
 from bosetherm.hamiltonian import (
     GOE_MEAN_R,
     POISSON_MEAN_R,
@@ -223,3 +228,27 @@ def test_gap_ratio_window():
     assert report.level_count == 11
     with pytest.raises(EmptyWindowError):
         r_ratio(levels, window=(10.0, 11.0))
+
+
+@pytest.mark.parametrize("call", ["expectation", "apply", "coefficients",
+                                  "evolve_to", "reduced_density"])
+def test_state_of_another_sector_is_refused(call):
+    # (M, N) = (4, 1) and (2, 3) both have dimension 4, so only the sector
+    # check can tell the state from one of the operator's own
+    op = build_hamiltonian(params_for(2, 3))
+    eig = diagonalize(op)
+    config = PropagatorConfig(base_step=0.01, depth=2)
+    calls = {
+        "expectation": op.expectation,
+        "apply": op.apply,
+        "coefficients": eig.coefficients,
+        "evolve_to": lambda state: evolve_to(
+            build_eigen_propagator(op, config, eig), state, 0.01),
+        "reduced_density": lambda state: reduced_density(
+            state, build_partition(op.basis, (0,))),
+    }
+    amplitudes = np.full(4, 0.5, dtype=complex)
+    with pytest.raises(SectorMismatchError, match="num_modes=4"):
+        calls[call](StateVector(enumerate_basis(4, 1), amplitudes))
+    # the same sector built apart from the cache is the same sector
+    calls[call](StateVector(FockBasis(2, 3), amplitudes))

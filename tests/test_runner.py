@@ -88,6 +88,15 @@ def test_validate_config_applies_defaults(tmp_path):
                                 "spacing": "cubic"}}}, "spacing"),
     ({"model": {"num_modes": 3, "num_particles": 2, "hopping": 10 ** 400}},
      "hopping"),
+    # the other kind's keys are not dropped silently
+    ({"initial_state": {"kind": "occupation", "occupation": [2, 0, 0],
+                        "window": [0, 1], "random_phases": True}},
+     "unknown key 'window' in initial_state"),
+    # the model sector fits under the cap, its N+1 sector does not
+    ({"model": {"num_modes": 2, "num_particles": 39999},
+      "initial_state": {"kind": "occupation", "occupation": [39999, 0]},
+      "measurement": {"com_times": [1.0]}, "stages": ["greens"]},
+     "40000-particle sector has dimension 40001"),
 ])
 def test_validate_config_rejects(tmp_path, patch, fragment):
     raw = {"model": {"num_modes": 3, "num_particles": 2},

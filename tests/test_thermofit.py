@@ -1,5 +1,6 @@
 """Fit recovery on synthetic data plus a Gibbs-ensemble thermometer check."""
 
+import dataclasses
 import types
 import warnings
 
@@ -267,6 +268,9 @@ def test_fdt_beta_flags_and_errors():
     other_grid = spectrum_of(energies + 0.1, base)
     with pytest.raises(GridMismatchError):
         fit_fdt_beta(same, other_grid, (-8.0, 8.0))
+    later = dataclasses.replace(same, com_time=1.0)
+    with pytest.raises(GridMismatchError, match="center-of-mass times"):
+        fit_fdt_beta(same, later, (-8.0, 8.0))
     with pytest.raises(ValueError):
         fit_fdt_beta(same, same, (8.0, -8.0))
 
