@@ -189,6 +189,9 @@ def build_sector_ladders(params, horizon: float, tau_step: float | None = None,
     EigenPropagator on that lattice; center, an eigensystem of the N sector
     the caller holds, serves its propagator, so only the sectors not given
     are diagonalized. max_rung_bytes caps each sector's eigenvectors.
+    target_error is the step chooser's budget. The config keeps the default
+    Taylor order, which the eigen propagators do not use; a Taylor ladder
+    on this lattice sets its own.
     """
     counts = [params.num_particles]
     if neighbors:
@@ -201,14 +204,11 @@ def build_sector_ladders(params, horizon: float, tau_step: float | None = None,
     cfgs = [choose_base_step(ops[n], horizon, target_error=target_error,
                              align_to=align, max_rung_bytes=max_rung_bytes)
             for n in counts]
-    # min of aligned steps is still an integer divisor of the alignment; the
-    # config records the highest sector order, which the eigen propagators
-    # do not use
+    # min of aligned steps is still an integer divisor of the alignment
     dt = min(c.base_step for c in cfgs)
-    depth = _depth_for_horizon(dt, horizon)
-    config = dataclasses.replace(
-        cfgs[0], base_step=dt, depth=depth,
-        taylor_order=max(c.taylor_order for c in cfgs))
+    config = PropagatorConfig(base_step=dt,
+                              depth=_depth_for_horizon(dt, horizon),
+                              max_rung_bytes=max_rung_bytes)
     held = {params.num_particles: center}
     ladders = {n: build_eigen_propagator(ops[n], config, held.get(n))
                for n in counts}
@@ -330,15 +330,15 @@ def single_particle_correlators(psi0: StateVector, ladders: SectorLadders,
                                           com_time, tau)[pair]
 
 
-def density_correlators(psi0: StateVector, ladders, pair, com_time: float,
-                        tau: np.ndarray):
+def density_correlators(psi0: StateVector, ladders: SectorLadders, pair,
+                        com_time: float, tau: np.ndarray):
     """Occupation correlators (forward, reversed) for one mode pair.
 
     forward  = <n_i(t1) n_j(t2)>, reversed = <n_j(t2) n_i(t1)>. The two are
     computed through different advance chains, so agreement up to complex
     conjugation is a real consistency check, not an identity.
     """
-    ladder = ladders.center if isinstance(ladders, SectorLadders) else ladders
+    ladder = ladders.center
     basis = ladder.basis
     (i, j), = _check_modes(basis, [pair])
     tau = np.asarray(tau, dtype=float)

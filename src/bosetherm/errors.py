@@ -32,9 +32,7 @@ class StepTooLargeError(NumericsError):
 
 
 class UnreachableTimeError(NumericsError):
-    """A step count lies beyond the propagator's span, or a requested time
-    is off the lattice and snapping is off. bosetherm run always snaps, so
-    there it means only the former."""
+    """A step count lies beyond the propagator's span."""
 
 
 class GridMismatchError(NumericsError):

@@ -34,7 +34,8 @@ import numpy as np
 import scipy.linalg as la
 import scipy.sparse as sp
 
-from .errors import EmptyWindowError, IntegrityError, NumericsError
+from .errors import (EmptyWindowError, IntegrityError, NumericsError,
+                     SectorMismatchError)
 from .fock import FockBasis, StateVector, check_same_sector, enumerate_basis
 
 # reference values for the adjacent-gap ratio statistic
@@ -134,6 +135,16 @@ def _hamiltonian_terms(params: HamiltonianParams, basis: FockBasis):
     return d, pairs
 
 
+def _check_mode_count(params: HamiltonianParams, basis: FockBasis,
+                      what: str) -> None:
+    """Raise SectorMismatchError unless basis has the model's mode count;
+    its particle number may be any (the Green functions' N +- 1 sectors)."""
+    if basis.num_modes != params.num_modes:
+        raise SectorMismatchError(
+            f"{what}: {basis} is not a sector of the {params.num_modes}-mode "
+            "model")
+
+
 def build_hamiltonian(params: HamiltonianParams,
                       basis: FockBasis | None = None) -> SectorOperator:
     """Assemble the dense Hamiltonian on a sector.
@@ -143,8 +154,7 @@ def build_hamiltonian(params: HamiltonianParams,
     """
     if basis is None:
         basis = enumerate_basis(params.num_modes, params.num_particles)
-    if basis.num_modes != params.num_modes:
-        raise ValueError("basis mode count does not match params")
+    _check_mode_count(params, basis, "basis of a Hamiltonian")
     d, pairs = _hamiltonian_terms(params, basis)
     terms = sum((c * (k.T @ k) for c, k in pairs), sp.diags(d)).tocoo()
     h = np.zeros((basis.dim, basis.dim), dtype=np.complex128)
@@ -166,8 +176,7 @@ def _apply_terms(params: HamiltonianParams, basis: FockBasis,
 
 def apply_hamiltonian(params: HamiltonianParams, state: StateVector) -> StateVector:
     """H |state> without building the dense matrix."""
-    if state.basis.num_modes != params.num_modes:
-        raise ValueError("state mode count does not match params")
+    _check_mode_count(params, state.basis, "state of a Hamiltonian")
     return StateVector(state.basis,
                        _apply_terms(params, state.basis, state.amplitudes))
 

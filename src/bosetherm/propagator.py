@@ -7,9 +7,12 @@ reaches the horizon.
 Both propagators subclass Propagator, which owns that lattice, snap() and
 the one span check, so snapped times and span errors do not depend on which
 one runs. advance moves one vector (or one block sharing a step count);
-advance_columns checks a block whose columns each have their own count
-against the span and hands it, at most dim columns at a time, to the
-propagator's own column walk; every time grid of the package is one block.
+advance_columns checks a block whose runs of columns each have their own
+count against the span and hands it to the propagator's own column walk,
+in pieces of about dim columns cut only between whole runs; every time
+grid of the package is one block. snap() rounds a time to the nearest
+lattice point; no time is refused for lying off the lattice, only for
+lying beyond the span.
 
 PropagatorLadder (the paper's method). The base propagator
 U0 = sum_{k<=k_max} (-i dt)^k H^k / k! is accurate for dt * max|H_ij| <= 0.1
@@ -62,6 +65,8 @@ MAX_STEP_FACTOR = 0.1
 # and the cap it stops at when no order's accuracy step reaches the rule
 MIN_TAYLOR_ORDER = 4
 MAX_TAYLOR_ORDER = 16
+# power iterations behind estimate_spectral_radius's bound
+POWER_ITERATIONS = 60
 
 
 @dataclass(frozen=True)
@@ -100,13 +105,13 @@ class PropagatorConfig:
         return self.max_steps * self.base_step
 
 
-def estimate_spectral_radius(matrix: np.ndarray, iterations: int = 60) -> float:
+def estimate_spectral_radius(matrix: np.ndarray) -> float:
     """Power-iteration bound on max|eigenvalue|, deterministic start."""
     dim = matrix.shape[0]
     v = np.ones(dim) + 1e-3 * np.arange(dim) / max(dim - 1, 1)
     v /= np.linalg.norm(v)
     rho = 0.0
-    for _ in range(iterations):
+    for _ in range(POWER_ITERATIONS):
         w = matrix @ v
         rho = float(np.linalg.norm(w))
         if rho == 0.0:
@@ -175,9 +180,9 @@ def _pack(matrix: np.ndarray, packed: np.ndarray) -> None:
 class Propagator:
     """U0^m on the lattice of a config, for one sector.
 
-    Subclasses supply _walk_columns(block, steps, group=1, offset=0), which
+    Subclasses supply _walk_columns(block, steps, group=1), which
     advance_columns and advance call once the step counts passed
-    _check_span: column c of the block takes steps[(c + offset) // group].
+    _check_span: column c of the block takes steps[c // group].
     They also supply nbytes, the bytes they hold.
     """
 
@@ -203,21 +208,11 @@ class Propagator:
                 f"{steps} base steps exceed the span of {self.max_steps} "
                 f"(time {self.span:.6e})")
 
-    def snap(self, t: float, strict: bool = False) -> tuple[int, float]:
-        """Nearest lattice index and time for a requested time.
-
-        strict=True raises when t is off-lattice instead of snapping.
-        """
-        dt = self.base_step
-        m = int(round(t / dt))
-        actual = m * dt
-        if strict and abs(t - actual) > 1e-9 * max(abs(t), dt):
-            below, above = math.floor(t / dt) * dt, math.ceil(t / dt) * dt
-            raise UnreachableTimeError(
-                f"time {t} is off the lattice (step {dt:.6e}); nearest "
-                f"reachable times are {below:.12e} and {above:.12e}")
+    def snap(self, t: float) -> tuple[int, float]:
+        """Nearest lattice index and time for a requested time."""
+        m = int(round(t / self.base_step))
         self._check_span(abs(m))
-        return m, actual
+        return m, m * self.base_step
 
     def advance(self, amplitudes: np.ndarray, steps: int) -> np.ndarray:
         """Apply U0^steps to a vector or the columns of a matrix."""
@@ -287,11 +282,11 @@ class PropagatorLadder(Propagator):
         return np.conjugate(out, out=out) if backward else out
 
     def _walk_columns(self, block: np.ndarray, steps: np.ndarray,
-                      group: int = 1, offset: int = 0) -> np.ndarray:
-        """Column c is advance(block[:, c], steps[(c + offset) // group])."""
+                      group: int = 1) -> np.ndarray:
+        """Column c is advance(block[:, c], steps[c // group])."""
         out = np.empty(block.shape, dtype=np.complex128)
         for c in range(block.shape[1]):
-            count = int(steps[(c + offset) // group])
+            count = int(steps[c // group])
             out[:, c] = self.advance(block[:, c], count)
         return out
 
@@ -364,37 +359,17 @@ class EigenPropagator(Propagator):
         return held
 
     def _walk_columns(self, block: np.ndarray, steps: np.ndarray,
-                      group: int = 1, offset: int = 0) -> np.ndarray:
-        """Column c times exp(-i E steps[(c + offset) // group] dt) in the
-        eigenbasis: one phase column per step count, shared by its run of
-        columns."""
+                      group: int = 1) -> np.ndarray:
+        """Column c times exp(-i E steps[c // group] dt) in the eigenbasis:
+        one phase column per step count, shared by its run of columns,
+        which scales the run through one in-place (E, runs, group) view of
+        the coefficients."""
         coeff = _times(self._adjoint, block)
         phases = np.outer(-1j * self.energies, steps * self.base_step)
-        _scale_runs(coeff, np.exp(phases, out=phases), group, offset)
+        runs = coeff.reshape(len(coeff), steps.size, group)
+        runs *= np.exp(phases, out=phases)[:, :, None]
         del phases  # at most two block-sized arrays live at a time
         return _times(self.vectors, coeff)
-
-
-def _scale_runs(coeff: np.ndarray, phases: np.ndarray, group: int,
-                offset: int) -> None:
-    """coeff[:, c] *= phases[:, (c + offset) // group], in place.
-
-    The whole runs of columns are one (rows, runs, group) view of coeff, so
-    no phase column is copied out per column; a run cut by either end of
-    the block is scaled on its own.
-    """
-    n = coeff.shape[1]
-    head = min(n, -offset % group)  # the end of a run begun before coeff
-    if head:
-        coeff[:, :head] *= phases[:, :1]
-    first = 1 if head else 0
-    runs = (n - head) // group
-    body = coeff[:, head:head + runs * group].reshape(len(coeff), runs,
-                                                      group)
-    body *= phases[:, first:first + runs, None]
-    tail = head + runs * group
-    if tail < n:
-        coeff[:, tail:] *= phases[:, first + runs:first + runs + 1]
 
 
 def build_eigen_propagator(op: SectorOperator, config: PropagatorConfig,
@@ -420,8 +395,9 @@ def advance_columns(ladder: Propagator, block: np.ndarray, steps,
 
     Each step count serves a run of group adjacent columns, and column c
     comes out as ladder.advance(block[:, c], steps[c // group]) would give
-    it; negative counts evolve backward. Walking dim columns at a time
-    keeps the working set to a few sector-sized arrays.
+    it; negative counts evolve backward. A wide block is walked in pieces
+    of group * max(1, dim // group) columns, cut only between whole runs,
+    which keeps the working set to a few sector-sized arrays.
     """
     block = np.asarray(block)
     steps = np.asarray(steps, dtype=np.int64)
@@ -433,24 +409,22 @@ def advance_columns(ladder: Propagator, block: np.ndarray, steps,
             f"{block.shape}")
     if steps.size:
         ladder._check_span(int(np.abs(steps).max()))
-    width = ladder.basis.dim
-    if block.shape[1] <= width:
+    runs = max(1, ladder.basis.dim // group)  # per walk
+    if steps.size <= runs:
         return ladder._walk_columns(block, steps, group)
     out = np.empty(block.shape, dtype=np.complex128)
-    for lo in range(0, block.shape[1], width):
-        hi = min(lo + width, block.shape[1])
-        first = lo // group
-        out[:, lo:hi] = ladder._walk_columns(
-            block[:, lo:hi], steps[first:-(-hi // group)], group,
-            lo - first * group)
+    for lo in range(0, steps.size, runs):
+        cols = slice(lo * group, (lo + runs) * group)
+        out[:, cols] = ladder._walk_columns(block[:, cols],
+                                            steps[lo:lo + runs], group)
     return out
 
 
-def evolve_to(ladder: Propagator, state: StateVector, t: float,
-              snap: bool = True) -> StateVector:
-    """Propagate a state to (the lattice time nearest) t."""
+def evolve_to(ladder: Propagator, state: StateVector,
+              t: float) -> StateVector:
+    """Propagate a state to the lattice time nearest t."""
     check_same_sector(state.basis, ladder.basis, "state of a propagator")
-    m, _ = ladder.snap(t, strict=not snap)
+    m, _ = ladder.snap(t)
     return StateVector(ladder.basis, ladder.advance(state.amplitudes, m))
 
 

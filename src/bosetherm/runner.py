@@ -236,10 +236,7 @@ _MODEL = {
     "u_inter": (_number(), 0.1),
 }
 
-_PROPAGATION = {
-    "target_error": (_number(lambda v: 0.0 < v < 1.0, "sit in (0, 1)"), 1e-8),
-    "horizon": (_optional(_positive), None),
-}
+_PROPAGATION = {"horizon": (_optional(_positive), None)}
 
 # one table per initial_state kind; a block names the keys of its kind only
 _INITIAL_STATES = {
@@ -298,12 +295,20 @@ def resolve_times(spec: dict) -> np.ndarray:
     return times
 
 
+def _stage_list(value) -> list[str]:
+    """Stages from STAGES, none repeated, in pipeline order."""
+    stages = _choice(STAGES, many=True)(value, "stages", None)
+    _require(len(set(stages)) == len(stages), "stages must not repeat")
+    return [s for s in STAGES if s in stages]
+
+
 def validate_config(raw: dict, stages=None) -> dict:
     """Normalize a raw configuration dict, applying defaults.
 
     Every complaint is a ConfigError naming the offending field and is
     raised before anything is allocated. stages overrides the config's own
-    stage list for the cross-block requirement checks.
+    stage list for the cross-block requirement checks, under the same rule:
+    stages from STAGES, none repeated.
     """
     _check_keys(raw, {"model", "propagation", "initial_state", "measurement",
                       "fits", "chaos", "stages", "output_dir", "seed"},
@@ -344,21 +349,18 @@ def validate_config(raw: dict, stages=None) -> dict:
              or len(fits["seed_centers"]) == fits["peak_count"],
              "fits.seed_centers must list one center per peak")
 
-    stage_list = _choice(STAGES, many=True)(raw.get("stages", list(STAGES)),
-                                            "stages", model)
-    _require(len(set(stage_list)) == len(stage_list),
-             "stages must not repeat")
+    stage_list = _stage_list(raw.get("stages", list(STAGES)))
     output_dir = raw.get("output_dir")
     _require(isinstance(output_dir, str) and output_dir,
              "output_dir must be a nonempty string")
     cfg = {"model": model, "propagation": prop, "initial_state": state,
            "measurement": meas, "fits": fits,
            "chaos": _read_block(raw.get("chaos", {}), _CHAOS, "chaos"),
-           "stages": [s for s in STAGES if s in stage_list],
+           "stages": stage_list,
            "output_dir": output_dir,
            "seed": _int()(raw.get("seed", 1), "configuration.seed", model)}
 
-    active = cfg["stages"] if stages is None else list(stages)
+    active = cfg["stages"] if stages is None else _stage_list(stages)
     # the largest sector the stages build: N, or N+1 for Green pairs
     top = num_particles + ("greens" in active and bool(meas["green_pairs"]))
     dim = sector_dimension(model["num_modes"], top)
@@ -487,10 +489,10 @@ def _model_sector(cfg: dict, outdir: Path, horizon: float, neighbors: bool,
     build-spectrum artifacts, residual-checked, when they exist or a
     microcanonical state needs them, else None. ladders holds the exact
     eigenbasis propagators of one build_sector_ladders call, whose model
-    sector reuses eig, so without eig only that build diagonalizes; the
-    propagation block picks their lattice, and propagation.horizon can only
-    widen the stage's own horizon. psi0 is the configured state; a
-    microcanonical one is the window state of eig.
+    sector reuses eig, so without eig only that build diagonalizes;
+    propagation.horizon, the one propagation key, can only widen the
+    stage's own horizon. psi0 is the configured state; a microcanonical one
+    is the window state of eig.
     """
     block = cfg["initial_state"]
     eig = None
@@ -499,13 +501,11 @@ def _model_sector(cfg: dict, outdir: Path, horizon: float, neighbors: bool,
             for name in ("spectrum.csv", "eigenvectors.npy")):
         eig = _load_eigensystem(cfg, outdir)
     params = _params(cfg)
-    prop = cfg["propagation"]
-    if prop["horizon"]:
-        horizon = max(horizon, prop["horizon"])
+    if cfg["propagation"]["horizon"]:
+        horizon = max(horizon, cfg["propagation"]["horizon"])
     # validation capped every sector the stage builds at DIM_CAP, so the
     # one-matrix guard admits any of them
     ladders = build_sector_ladders(params, horizon, tau_step=tau_step,
-                                   target_error=prop["target_error"],
                                    neighbors=neighbors, center=eig,
                                    max_rung_bytes=8 * DIM_CAP ** 2)
     if block["kind"] == "occupation":
@@ -567,7 +567,6 @@ def _stage_evolve(cfg: dict, outdir: Path):
         "dimension": basis.dim,
         "base_step": ladder.base_step,
         "depth": ladder.config.depth,
-        "taylor_order": ladder.config.taylor_order,
         "propagator_bytes": ladders.nbytes,
         "snap_defect": float(np.abs(times - snapped).max()),
         "norm_drift": float(np.abs(norms - 1.0).max()),
@@ -671,7 +670,6 @@ def _stage_greens(cfg: dict, outdir: Path):
 
     diag = {"base_step": ladders.center.base_step,
             "depth": ladders.center.config.depth,
-            "taylor_order": ladders.center.config.taylor_order,
             "propagator_bytes": ladders.nbytes,
             "com_times": [e["com_time"] for e in entries]}
     if green_pairs:
@@ -942,19 +940,13 @@ def run(config, stages=None) -> dict:
 
     config is a path to a JSON file or a raw config dict; either way it is
     validated against the stages that run. stages restricts the run to a
-    subset (default: the config's stage list). A stage failure is recorded
-    in the manifest together with whatever artifacts were already written,
-    then re-raised.
+    subset (default: the config's stage list) and is read by the rule of
+    the config's own list. A stage failure is recorded in the manifest
+    together with whatever artifacts were already written, then re-raised.
     """
     raw = read_config(config) if isinstance(config, (str, Path)) else config
     cfg = validate_config(raw, stages=stages)
-    if stages is None:
-        stages = cfg["stages"]
-    else:
-        unknown = [s for s in stages if s not in STAGES]
-        if unknown:
-            raise ConfigError(f"unknown stages {unknown}")
-        stages = [s for s in STAGES if s in stages]
+    stages = cfg["stages"] if stages is None else _stage_list(stages)
 
     outdir = Path(cfg["output_dir"])
     outdir.mkdir(parents=True, exist_ok=True)

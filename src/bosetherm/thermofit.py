@@ -41,6 +41,10 @@ from .correlators import (CorrelatorSpectrum, _phase_sum, check_same_grid,
 from .errors import FitConvergenceError, ShortSeriesError
 
 MAX_FIT_ITERATIONS = 500
+# an FDT ratio below 1 - this is reported as an unphysical occupation
+FDT_RATIO_TOLERANCE = 1e-3
+# the fewest usable energy points fit_fdt_beta fits a line through
+MIN_FDT_POINTS = 5
 # |log gamma| below which gamma^2 is a positive, finite float
 _LOG_WIDTH_LIMIT = 0.5 * math.log(np.finfo(float).max)
 
@@ -510,13 +514,12 @@ def fit_lorentzians(spectrum: CorrelatorSpectrum, peak_count: int,
                    window_scale=scale)
 
 
-def occupation_from_fdt(k_weight: complex, a_weight: complex,
-                        tolerance: float = 1e-3) -> float:
+def occupation_from_fdt(k_weight: complex, a_weight: complex) -> float:
     """n = (ratio - 1)/2 with ratio = i k_weight / a_weight.
 
     k_weight is the fitted weight of G_K itself, which for a thermal
     diagonal spectrum is -i times a positive number. A ratio below
-    1 - tolerance is reported as unphysical but never clamped.
+    1 - FDT_RATIO_TOLERANCE is reported as unphysical but never clamped.
     """
     if a_weight == 0:
         raise ValueError("spectral weight must be nonzero")
@@ -525,7 +528,7 @@ def occupation_from_fdt(k_weight: complex, a_weight: complex,
         warnings.warn(f"occupation ratio has imaginary residue {ratio.imag:.3e}",
                       stacklevel=2)
     occupation = (ratio.real - 1.0) / 2.0
-    if ratio.real < 1.0 - tolerance:
+    if ratio.real < 1.0 - FDT_RATIO_TOLERANCE:
         warnings.warn(
             f"unphysical occupation {occupation:.3e} from ratio "
             f"{ratio.real:.6f} < 1", stacklevel=2)
@@ -580,8 +583,7 @@ def fit_bose_einstein(energies, occupations, sigmas=None) -> TemperatureFit:
 
 
 def fit_fdt_beta(forward: CorrelatorSpectrum, reverse: CorrelatorSpectrum,
-                 e_window: tuple[float, float],
-                 min_points: int = 5) -> TemperatureFit:
+                 e_window: tuple[float, float]) -> TemperatureFit:
     """beta from ln f(E) - ln r(E) = beta E over one energy window.
 
     Only points where both spectra are positive enter; weights proportional
@@ -601,10 +603,10 @@ def fit_fdt_beta(forward: CorrelatorSpectrum, reverse: CorrelatorSpectrum,
               & (np.abs(energies) > 1e-12 * max(span, 1.0))
               & (f > 0) & (r > 0))
     n = int(usable.sum())
-    if n < min_points:
+    if n < MIN_FDT_POINTS:
         raise ShortSeriesError(
             f"only {n} usable energy points in window ({lo}, {hi}); "
-            f"need {min_points}")
+            f"need {MIN_FDT_POINTS}")
     e = energies[usable]
     d = np.log(f[usable]) - np.log(r[usable])
     w = np.minimum(f[usable], r[usable])

@@ -232,12 +232,13 @@ def test_greens_without_particles_exits_two(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("key", ["base_step", "taylor_order", "branching",
-                                 "depth"])
+                                 "depth", "target_error"])
 def test_taylor_ladder_keys_exit_two(tmp_path, capsys, key):
-    # a run propagates exactly in the eigenbasis, so the Taylor ladder's
-    # shape is no setting of its propagation block
+    # a run propagates exactly in the eigenbasis, so neither the Taylor
+    # ladder's shape nor its error budget is a setting of its propagation
+    # block
     value = {"base_step": 0.001, "taylor_order": 4, "branching": 2,
-             "depth": 4}[key]
+             "depth": 4, "target_error": 1e-6}[key]
     cfg = rabi_config(tmp_path / "out")
     cfg["propagation"] = {key: value}
     config = write_config(tmp_path / "ladder.json", cfg)

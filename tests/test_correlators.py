@@ -35,6 +35,7 @@ from bosetherm.propagator import (
     PropagatorConfig,
     PropagatorLadder,
     build_ladder,
+    choose_base_step,
     evolve_to,
 )
 
@@ -59,12 +60,18 @@ def small_setup():
     return ladders, psi0
 
 
-def ladder_sectors(params, config) -> SectorLadders:
-    """Taylor ladders for the N - 1, N and N + 1 sectors on one lattice."""
+def ladder_sectors(params, eigen: SectorLadders, horizon: float,
+                   tau_step: float) -> SectorLadders:
+    """Taylor ladders for the N - 1, N and N + 1 sectors on the lattice of
+    eigen, at the highest Taylor order choose_base_step picks for any of
+    the three sectors at that horizon and tau step."""
     n = params.num_particles
-    lower, center, upper = (build_ladder(build_hamiltonian(
-        dataclasses.replace(params, num_particles=m)), config)
-        for m in (n - 1, n, n + 1))
+    ops = [build_hamiltonian(dataclasses.replace(params, num_particles=m))
+           for m in (n - 1, n, n + 1)]
+    order = max(choose_base_step(op, horizon, align_to=tau_step / 2.0
+                                 ).taylor_order for op in ops)
+    config = dataclasses.replace(eigen.center.config, taylor_order=order)
+    lower, center, upper = (build_ladder(op, config) for op in ops)
     return SectorLadders(center=center, lower=lower, upper=upper)
 
 
@@ -72,7 +79,7 @@ def ladder_sectors(params, config) -> SectorLadders:
 def ladder_setup(small_setup):
     """Taylor ladders on the lattice of small_setup's eigen propagators."""
     eigen, psi0 = small_setup
-    return ladder_sectors(PARAMS_M3N2, eigen.center.config), psi0
+    return ladder_sectors(PARAMS_M3N2, eigen, 8.0, 0.25), psi0
 
 
 def test_tau_grid_is_symmetric_and_uniform():
@@ -356,7 +363,8 @@ def test_incommensurate_tau_step_rejected():
     psi0 = random_state(basis, seed=1)
     # half a tau step is 62.5 base steps, off the lattice
     with pytest.raises(GridMismatchError):
-        density_correlators(psi0, ladder, (0, 1), 1.0, tau_grid(1.0, 0.25))
+        density_correlators(psi0, SectorLadders(center=ladder), (0, 1), 1.0,
+                            tau_grid(1.0, 0.25))
 
 
 def test_com_time_beyond_span_rejected(small_setup):
@@ -398,7 +406,8 @@ def test_build_sector_ladders_picks_eigen_without_a_config(small_setup,
         assert lad.vectors.dtype == np.float64
     for lad in (ladders.center, ladders.lower, ladders.upper):
         assert isinstance(lad, PropagatorLadder)
-        assert lad.config is eigen.center.config
+        assert (lad.base_step, lad.max_steps) == (eigen.center.base_step,
+                                                  eigen.center.max_steps)
 
 
 def test_eigen_sectors_match_ladder_sectors(small_setup, ladder_setup):
@@ -449,7 +458,7 @@ def test_eigen_sectors_match_ladder_sectors_at_six_particles():
                                level_spacing=10.0, hopping=1.0,
                                u_intra=1.0, u_inter=0.1)
     eigen = build_sector_ladders(params, horizon=3.0, tau_step=0.5)
-    ladders = ladder_sectors(params, eigen.center.config)
+    ladders = ladder_sectors(params, eigen, 3.0, 0.5)
     psi0 = random_state(eigen.center.basis, seed=19)
     tau = tau_grid(1.0, 0.5)
     got = single_particle_correlator_set(psi0, eigen, [(0, 0), (3, 1)], 2.0,

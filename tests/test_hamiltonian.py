@@ -231,7 +231,8 @@ def test_gap_ratio_window():
 
 
 @pytest.mark.parametrize("call", ["expectation", "apply", "coefficients",
-                                  "evolve_to", "reduced_density"])
+                                  "evolve_to", "reduced_density",
+                                  "build_hamiltonian", "apply_hamiltonian"])
 def test_state_of_another_sector_is_refused(call):
     # (M, N) = (4, 1) and (2, 3) both have dimension 4, so only the sector
     # check can tell the state from one of the operator's own
@@ -246,6 +247,11 @@ def test_state_of_another_sector_is_refused(call):
             build_eigen_propagator(op, config, eig), state, 0.01),
         "reduced_density": lambda state: reduced_density(
             state, build_partition(op.basis, (0,))),
+        # the model builds on any particle number of its own mode count
+        "build_hamiltonian": lambda state: build_hamiltonian(params_for(2, 3),
+                                                             state.basis),
+        "apply_hamiltonian": lambda state: apply_hamiltonian(params_for(2, 3),
+                                                             state),
     }
     amplitudes = np.full(4, 0.5, dtype=complex)
     with pytest.raises(SectorMismatchError, match="num_modes=4"):

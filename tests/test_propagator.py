@@ -285,16 +285,14 @@ def test_advance_columns_rejects_bad_steps():
         advance_columns(ladder, block[:, 0], [1])
 
 
-def test_snap_and_strict_mode():
+def test_snap_rounds_to_the_nearest_lattice_time():
     rng = np.random.default_rng(10)
     op = random_hermitian_op(10, rng)
     cfg = PropagatorConfig(base_step=0.01, depth=6)
     ladder = build_ladder(op, cfg)
     m, actual = ladder.snap(0.034)
     assert m == 3 and actual == pytest.approx(0.03)
-    with pytest.raises(UnreachableTimeError):
-        ladder.snap(0.034, strict=True)
-    m2, actual2 = ladder.snap(0.03, strict=True)
+    m2, actual2 = ladder.snap(0.03)
     assert m2 == 3
 
 
@@ -504,9 +502,10 @@ def test_eigen_advance_columns_matches_exact_states(sector):
         advance_columns(prop, block[:, 0], [1])
 
 
-def per_column_phase_walk(prop, block, steps):
+def per_column_phase_walk(prop, block, steps, group):
     """advance_columns on a real eigenbasis as it was before step counts
-    were shared: one phase column per block column, dim columns at a
+    were shared: one phase column per block column, cut where
+    advance_columns cuts, group * max(1, dim // group) columns at a
     time."""
     def walk(cols, counts):
         cols = np.ascontiguousarray(cols)
@@ -514,7 +513,7 @@ def per_column_phase_walk(prop, block, steps):
         phases = np.outer(-1j * prop.energies, counts * prop.base_step)
         coeff *= np.exp(phases, out=phases)
         return (prop.vectors @ coeff.view(np.float64)).view(np.complex128)
-    width = prop.basis.dim
+    width = group * max(1, prop.basis.dim // group)
     if steps.size <= width:
         return walk(block, steps)
     out = np.empty(block.shape, dtype=np.complex128)
@@ -530,8 +529,12 @@ def test_grouped_eigen_walk_is_bit_equal_to_per_column_phases(particles):
     prop = build_eigen_propagator(op, choose_base_step(op, horizon=107.0))
     dim = op.basis.dim
     rng = np.random.default_rng(particles)
-    # runs that fit in one walk, fill it, and cross its dim-column cuts at
-    # every offset within a run
+    walks = []
+    walk = prop._walk_columns
+    prop._walk_columns = lambda block, steps, group: (
+        walks.append((block.shape[1], steps.size)) or walk(block, steps, group))
+    # runs that fit in one walk, fill it, and cross its cuts, where dim is
+    # and is not a multiple of the run
     for group, runs in [(1, dim), (5, 3), (5, dim // 5), (5, 42),
                         (3, dim // 3 + 7), (7, 2 * dim // 7 + 1)]:
         counts = rng.integers(-300, 300, runs)
@@ -540,8 +543,14 @@ def test_grouped_eigen_walk_is_bit_equal_to_per_column_phases(particles):
         counts[2::3] = -np.abs(counts[2::3]) - 1
         block = (rng.normal(size=(dim, group * runs))
                  + 1j * rng.normal(size=(dim, group * runs)))
+        walks.clear()
         grouped = advance_columns(prop, block, counts, group)
-        want = per_column_phase_walk(prop, block, np.repeat(counts, group))
+        # each walk takes whole runs, at most max(1, dim // group) of them
+        assert all(width == size * group and size <= max(1, dim // group)
+                   for width, size in walks), (group, walks)
+        assert sum(size for _, size in walks) == runs
+        want = per_column_phase_walk(prop, block, np.repeat(counts, group),
+                                     group)
         assert grouped.tobytes() == want.tobytes(), (group, runs)
 
 
@@ -571,8 +580,6 @@ def test_eigen_propagator_keeps_the_ladder_lattice():
         assert prop.snap(t) == ladder.snap(t)
     with pytest.raises(UnreachableTimeError):
         prop.snap(2.0 * prop.span)
-    with pytest.raises(UnreachableTimeError):
-        prop.snap(0.0345, strict=True)
     # the two agree to the ladder's own truncation (target_error 1e-8)
     psi0 = random_unit(op.basis.dim, np.random.default_rng(24))
     m, _ = prop.snap(29.0)

@@ -60,7 +60,7 @@ def test_validate_config_applies_defaults(tmp_path):
                           stages=["build-spectrum"])
     assert cfg["model"]["level_spacing"] == 10.0
     assert cfg["model"]["u_inter"] == 0.1
-    assert cfg["propagation"] == {"target_error": 1e-8, "horizon": None}
+    assert cfg["propagation"] == {"horizon": None}
     assert cfg["measurement"]["green_pairs"] == [[0, 0], [1, 1], [2, 2]]
     assert cfg["measurement"]["window"] == "hann"
     assert cfg["stages"] == list(STAGES)
@@ -225,17 +225,18 @@ def test_manifest_inventory_and_versions(tmp_path):
     assert greens["com_times"] == [
         round(t / greens["base_step"]) * greens["base_step"]
         for t in configured["com_times"]]
-    # each stage records the lattice with the Taylor order it was picked at:
-    # evolve for its largest time, greens for max|t| + tau_max/2 + tau_step
-    # on the tau_step/2 grid
+    # each stage records the lattice it was picked at: evolve for its
+    # largest time, greens for max|t| + tau_max/2 + tau_step on the
+    # tau_step/2 grid
     params = HamiltonianParams(3, 2, 10.0, 1.0, 1.0, 0.1)
     lattices = {"evolve": choose_base_step(build_hamiltonian(params), 40.0),
                 "greens": build_sector_ladders(params, 3.1,
                                                tau_step=0.1).center.config}
     for stage, diag in (("evolve", evolve), ("greens", greens)):
         lattice = lattices[stage]
-        assert (diag["base_step"], diag["depth"], diag["taylor_order"]) == (
-            lattice.base_step, lattice.depth, lattice.taylor_order)
+        assert (diag["base_step"], diag["depth"]) == (lattice.base_step,
+                                                      lattice.depth)
+        assert "taylor_order" not in diag
 
 
 def test_a_run_diagonalizes_each_sector_once(tmp_path, monkeypatch):
@@ -341,8 +342,7 @@ def test_greens_stage_matches_direct_calls(tmp_path):
 
     params = HamiltonianParams(3, 2, 10.0, 1.0, 1.0, 0.1)
     horizon = 2.0 + 1.0 + 0.1
-    ladders = build_sector_ladders(params, horizon, tau_step=0.1,
-                                   target_error=1e-8)
+    ladders = build_sector_ladders(params, horizon, tau_step=0.1)
     psi0 = occupation_state(ladders.center.basis, (2, 0, 0))
     tau = tau_grid(2.0, 0.1)
     lesser, _ = single_particle_correlators(psi0, ladders, (0, 0), 2.0, tau)
@@ -356,15 +356,19 @@ def test_greens_stage_matches_direct_calls(tmp_path):
 
 
 def test_unknown_stage_rejected(tmp_path):
-    with pytest.raises(ConfigError, match="unknown stages"):
+    # an override obeys the rule of the config's own stage list
+    with pytest.raises(ConfigError, match="stages entries must come from"):
         run(rabi_config(tmp_path / "out"), stages=["warmup"])
+    with pytest.raises(ConfigError, match="stages must not repeat"):
+        run(rabi_config(tmp_path / "out"), stages=["evolve", "evolve"])
+    assert not (tmp_path / "out").exists()
 
 
 def test_validate_config_reads_every_key(tmp_path):
     raw = {
         "model": {"num_modes": 4, "num_particles": 3, "level_spacing": 7.5,
                   "hopping": 0.5, "u_intra": 2.0, "u_inter": 0.3},
-        "propagation": {"target_error": 1e-6, "horizon": 50},
+        "propagation": {"horizon": 50},
         "initial_state": {"kind": "microcanonical", "window": [20, 40.0],
                           "random_phases": True},
         "measurement": {"system_modes": [2, 3], "observables": ["entropy"],
@@ -387,7 +391,7 @@ def test_validate_config_reads_every_key(tmp_path):
     expected = {
         "model": {"num_modes": 4, "num_particles": 3, "level_spacing": 7.5,
                   "hopping": 0.5, "u_intra": 2.0, "u_inter": 0.3},
-        "propagation": {"target_error": 1e-6, "horizon": 50.0},
+        "propagation": {"horizon": 50.0},
         "initial_state": {"kind": "microcanonical", "window": [20.0, 40.0],
                           "random_phases": True},
         "measurement": {"system_modes": [2, 3], "observables": ["entropy"],
@@ -444,8 +448,8 @@ def test_evolve_stage_propagates_in_the_eigenbasis(tmp_path, monkeypatch):
     op = build_hamiltonian(HamiltonianParams(2, 1, 0.0, 1.0, 0.0, 0.0))
     lattice = choose_base_step(op, 6.0)
     diag = manifest["stages"]["evolve"]["diagnostics"]
-    assert (diag["base_step"], diag["depth"], diag["taylor_order"]) == (
-        lattice.base_step, lattice.depth, lattice.taylor_order)
+    assert (diag["base_step"], diag["depth"]) == (lattice.base_step,
+                                                  lattice.depth)
     cols = read_csv(tmp_path / "auto" / "occupations.csv")
     assert np.abs(cols["n_1"] - np.sin(cols["Jt"]) ** 2).max() < 1e-12
 
