@@ -9,16 +9,18 @@ the neighbor sectors:
 
 Occupation correlators stay in the N sector. Every walk is an
 advance_columns block, one step count per column, or, in the Green sweep,
-one per tau point for all its mode columns. The trajectory states
-psi(t + m*dtau/2), m = -K..K, are one block: psi0 in every column, each
-column with its own count. Each tau point then needs one sector walk on a
-few sector vectors; the walks of many tau points are stacked as the columns
-of one block and moved together. On the eigen propagators that
-build_sector_ladders builds a walk is exact: two real products with the
-eigenvectors around per-column phases. On Taylor ladders (build_ladder, the
-cross-check) each column takes its own O(log tau) rung applies. The sweeps
-take the tau points in runs of at most dim(N) columns, which bounds the
-sector vectors they build at once.
+one per tau point for all its mode columns. The sweeps take the tau points
+k = 0..K in chunks (_chunks) and hold one chunk's arrays at a time: its
+trajectory states psi(t -+ k dtau/2), walked from psi0 as one block of
+columns with their own counts, and its sector walks, a few sector vectors
+per k stacked as the columns of one block and moved together. A chunk's
+width is set in sector dimensions, so one walk block holds at most
+dim(N) / 2 columns of dim(N-1), dim(N) or dim(N+1) rows however long the
+tau grid is, and each block is released as soon as it has been read. On
+the eigen propagators that build_sector_ladders builds a walk is exact:
+two real products with the eigenvectors around per-column phases. On
+Taylor ladders (build_ladder, the cross-check) each column takes its own
+O(log tau) rung applies.
 
 The energy transform follows f(E) = dtau * sum_k w(tau_k) C(tau_k)
 exp(+i E tau_k) with a Hann window by default, on a grid taken as exactly
@@ -218,12 +220,13 @@ def build_sector_ladders(params, horizon: float, tau_step: float | None = None,
         upper=ladders.get(params.num_particles + 1))
 
 
-def _trajectory(ladder: Propagator, psi0: StateVector, com_time: float,
-                tau: np.ndarray):
-    """Rows psi(t + m dtau/2) for m = -K..K, with t snapped to the lattice.
+def _lattice(ladder: Propagator, psi0: StateVector, com_time: float,
+             tau: np.ndarray, walkers) -> tuple[int, int, int, float]:
+    """(K, base steps per half tau step, snapped t in base steps, snapped t).
 
-    Returns (rows, K, base steps per tau step, snapped t). All 2K + 1 rows
-    are one advance_columns block of psi0.
+    The trajectory's reach |t| + K dtau/2 on ladder and the sector walks'
+    K dtau on each of walkers are checked against their spans here, before
+    any chunk is walked.
     """
     check_same_sector(psi0.basis, ladder.basis, "initial state")
     half = _validate_tau(tau) / 2.0
@@ -234,34 +237,74 @@ def _trajectory(ladder: Propagator, psi0: StateVector, com_time: float,
             f"step {ladder.base_step:.6e}")
     k_half = (len(tau) - 1) // 2
     com_steps, com_actual = ladder.snap(com_time)
-    steps = com_steps + q2 * np.arange(-k_half, k_half + 1)
+    ladder._check_span(abs(com_steps) + q2 * k_half)
+    for walker in walkers:
+        walker._check_span(2 * q2 * k_half)
+    return k_half, q2, com_steps, com_actual
+
+
+def _trajectory(ladder: Propagator, psi0: StateVector, com_steps: int,
+                q2: int, ks: np.ndarray):
+    """psi(t - k dtau/2) and psi(t + k dtau/2) for the k of one chunk.
+
+    Both are (dim, len(ks)) views of one advance_columns block of psi0,
+    one count com_steps -+ k q2 per column.
+    """
+    steps = com_steps + q2 * np.concatenate([-ks, ks])
     block = np.broadcast_to(psi0.amplitudes[:, None],
                             (ladder.basis.dim, steps.size))
-    return advance_columns(ladder, block, steps).T, k_half, 2 * q2, com_actual
+    states = advance_columns(ladder, block, steps)
+    return states[:, :ks.size], states[:, ks.size:]
 
 
-def _mode_block(basis: FockBasis, rows: np.ndarray, modes,
+def _mode_block(basis: FockBasis, states: np.ndarray, modes,
                 raising: bool) -> np.ndarray:
-    """b_m (raising: b_m^dag) applied to each state row, for every mode.
+    """b_m (raising: b_m^dag) applied to each state column, for every mode.
 
-    Returns shape (target dim, rows, modes), so that reshaping to
-    (target dim, rows * modes) lists the modes of each row side by side.
+    Returns shape (target dim, states, modes), so that reshaping to
+    (target dim, states * modes) lists the modes of each state side by side.
     """
     maps = [basis.raising_map(m) if raising else basis.lowering_map(m)
             for m in modes]
     target = maps[0][3]
-    out = np.zeros((target.dim, rows.shape[0], len(modes)),
+    out = np.zeros((target.dim, states.shape[1], len(modes)),
                    dtype=np.complex128)
     for c, (src, dst, amp, _) in enumerate(maps):
-        out[dst, :, c] = amp[:, None] * rows[:, src].T
+        out[dst, :, c] = amp[:, None] * states[src]
     return out
 
 
 def _chunks(k_half: int, per_k: int, dim: int):
-    """Runs of k = 0..k_half of at most dim // per_k (at least one) each."""
-    size = max(1, dim // per_k)
+    """Runs of k = 0..k_half, of at most max(1, dim // (2 per_k)) each.
+
+    A k takes per_k walk columns and dim is that of the N sector, so one
+    chunk's walk block has at most dim / 2 columns and its trajectory
+    states, two per k, at most dim / per_k: whatever the length of the tau
+    grid, the working set is a few blocks of at most dim(N+1) x dim(N)
+    complex values.
+    """
+    size = max(1, dim // (2 * per_k))
     return [np.arange(lo, min(lo + size, k_half + 1))
             for lo in range(0, k_half + 1, size)]
+
+
+def sweep_block_bytes(ladders: SectorLadders, green_pairs, density_pairs,
+                      tau: np.ndarray) -> int:
+    """Bytes of the largest block that the Green sweep over green_pairs and
+    the density sweeps of density_pairs hand to advance_columns at once: a
+    chunk's trajectory states or its sector walks (0 with no pairs)."""
+    dim = ladders.center.basis.dim
+    k_half = (len(tau) - 1) // 2
+    walks = []  # (rows, columns per k) of each sweep's sector walks
+    modes = len({m for p in green_pairs for m in p})
+    if modes:
+        walks += [(ladders.lower.basis.dim, modes),
+                  (ladders.upper.basis.dim, modes)]
+    walks += [(dim, len({i, j}) + 1) for i, j in density_pairs]
+    # a chunk of width k walks rows x (k per_k) and dim x 2k values
+    return max((16 * _chunks(k_half, per_k, dim)[0].size
+                * max(rows * per_k, 2 * dim) for rows, per_k in walks),
+               default=0)
 
 
 def _check_modes(basis: FockBasis, pairs) -> list[tuple[int, int]]:
@@ -284,8 +327,8 @@ def single_particle_correlator_set(psi0: StateVector, ladders: SectorLadders,
         raise ValueError("single-particle functions need all three ladders")
     pairs = _check_modes(basis, pairs)
     tau = np.asarray(tau, dtype=float)
-    half, k_half, q, com_actual = _trajectory(ladders.center, psi0,
-                                              com_time, tau)
+    k_half, q2, com_steps, com_actual = _lattice(
+        ladders.center, psi0, com_time, tau, (ladders.lower, ladders.upper))
 
     modes = sorted({m for p in pairs for m in p})
     pos = {m: c for c, m in enumerate(modes)}
@@ -296,21 +339,29 @@ def single_particle_correlator_set(psi0: StateVector, ladders: SectorLadders,
     greater = np.empty_like(lesser)
 
     for ks in _chunks(k_half, len(modes), basis.dim):
-        steps = ks * q  # one count per k, shared by the k's mode columns
-        before, after = half[k_half - ks], half[k_half + ks]
+        before, after = _trajectory(ladders.center, psi0, com_steps, q2, ks)
+        steps = ks * 2 * q2  # one count per k, shared by its mode columns
         shape = (-1, ks.size, len(modes))
+        # each block goes as soon as it is read and conjugates are taken in
+        # place, so a walk's start, coefficients and result are the only
+        # sector blocks held at once
         # lower sector: w_m(k) = U(k dtau) b_m psi(t - k dtau/2)
         start = _mode_block(basis, before, modes, raising=False)
         w = advance_columns(ladders.lower, start.reshape(start.shape[0], -1),
                             steps, len(modes)).reshape(shape)
+        del start
         b = _mode_block(basis, after, modes, raising=False)
-        cross_l = np.einsum("dka,dkb->kab", w.conj(), b)
+        cross_l = np.einsum("dka,dkb->kab", np.conjugate(w, out=w), b)
+        del w, b
         # upper sector: v_m(k) = U(k dtau) b_m^dag psi(t - k dtau/2)
         start = _mode_block(basis, before, modes, raising=True)
         v = advance_columns(ladders.upper, start.reshape(start.shape[0], -1),
                             steps, len(modes)).reshape(shape)
+        del start
         c = _mode_block(basis, after, modes, raising=True)
-        cross_g = np.einsum("dka,dkb->kab", c.conj(), v)
+        del before, after
+        cross_g = np.einsum("dka,dkb->kab", np.conjugate(c, out=c), v)
+        del c, v
         # tau < 0 first, so that tau = 0 (k = 0) keeps the tau > 0 reading
         lesser[:, k_half - ks] = -1j * cross_l[:, rows_i, rows_j].conj().T
         greater[:, k_half - ks] = -1j * cross_g[:, rows_j, rows_i].conj().T
@@ -342,7 +393,8 @@ def density_correlators(psi0: StateVector, ladders: SectorLadders, pair,
     basis = ladder.basis
     (i, j), = _check_modes(basis, [pair])
     tau = np.asarray(tau, dtype=float)
-    half, k_half, q, com_actual = _trajectory(ladder, psi0, com_time, tau)
+    k_half, q2, com_steps, com_actual = _lattice(ladder, psi0, com_time, tau,
+                                                 (ladder,))
     modes = sorted({i, j})
     occ = basis.states[:, modes].astype(float)
     ci, cj = modes.index(i), modes.index(j)
@@ -350,27 +402,37 @@ def density_correlators(psi0: StateVector, ladders: SectorLadders, pair,
     forward = np.empty(tau.size, dtype=np.complex128)
     reverse = np.empty(tau.size, dtype=np.complex128)
     for ks in _chunks(k_half, len(modes) + 1, basis.dim):
-        before, after = half[k_half - ks], half[k_half + ks]
+        before, after = _trajectory(ladder, psi0, com_steps, q2, ks)
         # per k: n_m psi(t - k dtau/2) by +k dtau for each mode, then
         # n_i psi(t + k dtau/2) by -k dtau
-        start = np.concatenate(
-            [before.T[:, :, None] * occ[:, None, :],
-             (after.T * occ[:, ci, None])[:, :, None]], axis=2)
-        steps = np.outer(ks * q, [1] * len(modes) + [-1]).ravel()
+        start = np.empty((basis.dim, ks.size, len(modes) + 1),
+                         dtype=np.complex128)
+        np.multiply(before[:, :, None], occ[:, None, :], out=start[:, :, :-1])
+        np.multiply(after, occ[:, ci, None], out=start[:, :, -1])
+        steps = np.outer(ks * 2 * q2, [1] * len(modes) + [-1]).ravel()
         walked = advance_columns(ladder, start.reshape(basis.dim, -1),
                                  steps).reshape(start.shape)
-        ni_after = start[:, :, -1]
-        nj_after = after.T * occ[:, cj, None]
-        nj_before = start[:, :, cj]
-        # tau < 0 first, so that tau = 0 (k = 0) keeps the tau > 0 reading
-        forward[k_half - ks] = np.einsum("dk,dk->k", walked[:, :, ci].conj(),
-                                         nj_after)
-        reverse[k_half - ks] = np.einsum("dk,dk->k", nj_after.conj(),
-                                         walked[:, :, ci])
-        forward[k_half + ks] = np.einsum("dk,dk->k", ni_after.conj(),
-                                         walked[:, :, cj])
-        reverse[k_half + ks] = np.einsum("dk,dk->k", nj_before.conj(),
-                                         walked[:, :, -1])
+        # tau > 0 reads n_i psi(t + k dtau/2) and n_j psi(t - k dtau/2),
+        # the starts of two walks, only as conjugates
+        np.conjugate(start, out=start)
+        forward_plus = np.einsum("dk,dk->k", start[:, :, -1],
+                                  walked[:, :, cj])
+        reverse_plus = np.einsum("dk,dk->k", start[:, :, cj],
+                                  walked[:, :, -1])
+        del start
+        nj_after = after * occ[:, cj, None]
+        del before, after
+        # tau < 0 first, so that tau = 0 (k = 0) keeps the tau > 0 reading;
+        # the walk of n_i psi(t - k dtau/2) is conjugated in place and back
+        ni_walked = walked[:, :, ci]
+        forward[k_half - ks] = np.einsum(
+            "dk,dk->k", np.conjugate(ni_walked, out=ni_walked), nj_after)
+        np.conjugate(ni_walked, out=ni_walked)
+        reverse[k_half - ks] = np.einsum(
+            "dk,dk->k", np.conjugate(nj_after, out=nj_after), ni_walked)
+        del walked, ni_walked, nj_after
+        forward[k_half + ks] = forward_plus
+        reverse[k_half + ks] = reverse_plus
     fwd = TwoTimeSeries("density_forward", (i, j), com_actual, tau, forward)
     rev = TwoTimeSeries("density_reversed", (i, j), com_actual, tau, reverse)
     return fwd, rev

@@ -41,6 +41,9 @@ from .fock import FockBasis, StateVector, check_same_sector, enumerate_basis
 # reference values for the adjacent-gap ratio statistic
 GOE_MEAN_R = 0.5307
 POISSON_MEAN_R = 2.0 * math.log(2.0) - 1.0
+# rows per block of SectorOperator's Hermiticity check, so that its
+# temporaries are a few CHECK_ROWS x dim arrays, never a full-size one
+CHECK_ROWS = 64
 
 
 @dataclass(frozen=True)
@@ -70,7 +73,8 @@ class SectorOperator:
     """Dense Hermitian operator on one Fock sector.
 
     The Hermiticity check runs here, once per operator, so the ladder and
-    the eigensolver need not repeat it.
+    the eigensolver need not repeat it. It takes max|m - m^dag| and max|m|
+    over blocks of CHECK_ROWS rows and leaves the matrix as it is given.
     """
 
     basis: FockBasis
@@ -80,8 +84,16 @@ class SectorOperator:
         m = np.asarray(self.matrix, dtype=np.complex128)
         if m.shape != (self.basis.dim, self.basis.dim):
             raise ValueError("matrix shape does not match sector dimension")
-        defect = float(np.abs(m - m.conj().T).max())
-        scale = float(np.abs(m).max())
+        defect = scale = 0.0
+        for lo in range(0, self.basis.dim, CHECK_ROWS):
+            rows = slice(lo, lo + CHECK_ROWS)
+            scale = np.maximum(scale, np.abs(m[rows]).max())
+            # the rows of m^dag, then these rows of m less them, in place
+            gap = np.conjugate(m[:, rows]).T
+            np.subtract(m[rows], gap, out=gap)
+            defect = np.maximum(defect, np.abs(gap).max())
+            del gap
+        defect, scale = float(defect), float(scale)
         if defect > 1e-12 * scale:
             raise IntegrityError(
                 f"matrix is not Hermitian: defect {defect:.3e} "

@@ -397,7 +397,9 @@ def advance_columns(ladder: Propagator, block: np.ndarray, steps,
     comes out as ladder.advance(block[:, c], steps[c // group]) would give
     it; negative counts evolve backward. A wide block is walked in pieces
     of group * max(1, dim // group) columns, cut only between whole runs,
-    which keeps the working set to a few sector-sized arrays.
+    so a walk holds at most a few arrays of about dim x dim complex values
+    beside the block and its result. The correlator sweeps pass narrower
+    blocks, of at most dim(N) / 2 columns.
     """
     block = np.asarray(block)
     steps = np.asarray(steps, dtype=np.int64)

@@ -63,7 +63,8 @@ from .correlators import (WINDOW_KINDS, CorrelatorSpectrum, _whole_multiple,
                           build_sector_ladders, check_nyquist,
                           density_correlators,
                           keldysh_and_spectral, single_particle_correlator_set,
-                          tau_grid, to_energy, trace_levels)
+                          sweep_block_bytes, tau_grid, to_energy,
+                          trace_levels)
 from .thermofit import (fit_biexponential, fit_bose_einstein, fit_lorentzians,
                         occupation_from_fdt, plateau_stats,
                         temperature_timeline)
@@ -671,6 +672,8 @@ def _stage_greens(cfg: dict, outdir: Path):
     diag = {"base_step": ladders.center.base_step,
             "depth": ladders.center.config.depth,
             "propagator_bytes": ladders.nbytes,
+            "sweep_block_bytes": sweep_block_bytes(ladders, green_pairs,
+                                                   density_pairs, tau),
             "com_times": [e["com_time"] for e in entries]}
     if green_pairs:
         diag["equal_time_defect"] = equal_time_defect

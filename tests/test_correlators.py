@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
+import bosetherm.correlators as correlators
 from bosetherm.correlators import (
     WINDOW_KINDS,
     CorrelatorSpectrum,
@@ -17,6 +18,7 @@ from bosetherm.correlators import (
     nyquist_energy_grid,
     single_particle_correlator_set,
     single_particle_correlators,
+    sweep_block_bytes,
     tau_grid,
     to_energy,
     trace_levels,
@@ -34,6 +36,7 @@ from bosetherm.propagator import (
     EigenPropagator,
     PropagatorConfig,
     PropagatorLadder,
+    advance_columns,
     build_ladder,
     choose_base_step,
     evolve_to,
@@ -146,7 +149,8 @@ def test_batched_green_sweep_matches_per_k_walk(small_setup, pairs):
     ladders, psi0 = small_setup
     tau = tau_grid(2.0, 0.25)
     modes = {m for p in pairs for m in p}
-    # the walks of the 9 k values need at least three blocks of dim(N)
+    # the walks of the 9 k values take more than two dim(N) columns, so
+    # the sweep walks them in several chunks
     assert 9 * len(modes) > 2 * ladders.center.basis.dim
     result = single_particle_correlator_set(psi0, ladders, pairs, 1.3, tau)
     lesser_ref, greater_ref = oracles.per_k_green_walk(psi0, ladders, pairs,
@@ -163,7 +167,8 @@ def test_batched_green_sweep_matches_per_k_walk(small_setup, pairs):
 def test_batched_density_sweep_matches_per_k_walk(small_setup, pair):
     ladders, psi0 = small_setup
     tau = tau_grid(2.0, 0.25)
-    # at least two walks per k: the 9 k values need three blocks of dim(N)
+    # at least two walks per k: the 9 k values take more than two dim(N)
+    # columns, so the sweep walks them in several chunks
     assert 9 * 2 > 2 * ladders.center.basis.dim
     fwd, rev = density_correlators(psi0, ladders, pair, 1.3, tau)
     fwd_ref, rev_ref = oracles.per_k_density_walk(psi0, ladders.center, pair,
@@ -375,6 +380,22 @@ def test_com_time_beyond_span_rejected(small_setup):
                             tau_grid(1.0, 0.25))
 
 
+def test_sector_walk_beyond_span_rejected_before_any_walk(small_setup,
+                                                          monkeypatch):
+    ladders, psi0 = small_setup
+    # at t = 0 the trajectory reaches tau_max / 2, inside the span, but the
+    # sector walks reach tau_max, beyond it
+    tau = tau_grid(0.25 * np.ceil(ladders.center.span / 0.25 + 1e-6), 0.25)
+    walks = []
+    monkeypatch.setattr(correlators, "advance_columns",
+                        lambda *args: walks.append(args))
+    with pytest.raises(UnreachableTimeError):
+        single_particle_correlator_set(psi0, ladders, [(0, 0)], 0.0, tau)
+    with pytest.raises(UnreachableTimeError):
+        density_correlators(psi0, ladders, (0, 0), 0.0, tau)
+    assert walks == []
+
+
 def test_sector_ladder_validation():
     op2 = build_hamiltonian(PARAMS_M3N2)
     import dataclasses
@@ -451,6 +472,127 @@ def test_batched_density_sweep_matches_per_k_walk_on_ladders(ladder_setup):
                                                   (0, 2), 1.3, tau)
     np.testing.assert_allclose(fwd.values, fwd_ref, rtol=0, atol=1e-12)
     np.testing.assert_allclose(rev.values, rev_ref, rtol=0, atol=1e-12)
+
+
+def _chunk_widths(k_half, per_k, ladders):
+    return [ks.size for ks in correlators._chunks(
+        k_half, per_k, ladders.center.basis.dim)]
+
+
+# the chunk edges: a last chunk narrower than the others, and chunks of a
+# single k, on the eigen propagators and on the Taylor ladders
+@pytest.mark.parametrize("sectors", ["eigen", "taylor"])
+@pytest.mark.parametrize("pairs,widths", [
+    ([(1, 1)], [3, 3, 2]),
+    ([(0, 1), (1, 0)], [1] * 8),
+])
+def test_green_sweep_chunk_edges_match_per_k_walk(small_setup, ladder_setup,
+                                                  sectors, pairs, widths):
+    ladders, psi0 = small_setup if sectors == "eigen" else ladder_setup
+    if sectors == "taylor":
+        assert isinstance(ladders.upper, PropagatorLadder)
+    tau = tau_grid(1.75, 0.25)  # k = 0..7
+    modes = len({m for p in pairs for m in p})
+    assert _chunk_widths(7, modes, ladders) == widths
+    result = single_particle_correlator_set(psi0, ladders, pairs, 1.3, tau)
+    lesser_ref, greater_ref = oracles.per_k_green_walk(psi0, ladders, pairs,
+                                                       1.3, tau)
+    for p, pair in enumerate(pairs):
+        lesser, greater = result[pair]
+        np.testing.assert_allclose(lesser.values, lesser_ref[p], rtol=0,
+                                   atol=1e-12)
+        np.testing.assert_allclose(greater.values, greater_ref[p], rtol=0,
+                                   atol=1e-12)
+
+
+# dim(N) 6 gives chunks of a single k; on four modes dim(N) 20 gives a
+# narrower last chunk, or three chunks that exactly cover k = 0..8
+@pytest.mark.parametrize("sectors,pair,widths", [
+    ("eigen", (1, 1), [1] * 9),
+    ("eigen", (0, 2), [1] * 9),
+    ("taylor", (1, 1), [1] * 9),
+    ("taylor", (0, 2), [1] * 9),
+    ("four_modes", (1, 1), [5, 4]),
+    ("four_modes", (0, 2), [3, 3, 3]),
+])
+def test_density_sweep_chunk_edges_match_per_k_walk(small_setup, ladder_setup,
+                                                    sectors, pair, widths):
+    if sectors == "four_modes":
+        params = dataclasses.replace(PARAMS_M3N2, num_modes=4,
+                                     num_particles=3)
+        ladders = build_sector_ladders(params, horizon=8.0, tau_step=0.25,
+                                       neighbors=False)
+        psi0 = random_state(ladders.center.basis, seed=23)
+    else:
+        ladders, psi0 = small_setup if sectors == "eigen" else ladder_setup
+    tau = tau_grid(2.0, 0.25)  # k = 0..8
+    assert _chunk_widths(8, len(set(pair)) + 1, ladders) == widths
+    fwd, rev = density_correlators(psi0, ladders, pair, 1.3, tau)
+    fwd_ref, rev_ref = oracles.per_k_density_walk(psi0, ladders.center, pair,
+                                                  1.3, tau)
+    np.testing.assert_allclose(fwd.values, fwd_ref, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(rev.values, rev_ref, rtol=0, atol=1e-12)
+
+
+THERMOMETRY_M5N6 = HamiltonianParams(num_modes=5, num_particles=6,
+                                     level_spacing=10.0, hopping=1.0,
+                                     u_intra=1.0, u_inter=0.1)
+
+
+@pytest.fixture(scope="module")
+def thermometry_setup():
+    """The thermometry benchmark's sectors and relative-time grid."""
+    ladders = build_sector_ladders(THERMOMETRY_M5N6, horizon=20.0,
+                                   tau_step=0.04, target_error=1e-6)
+    psi0 = random_state(ladders.center.basis, seed=29)
+    return ladders, psi0, tau_grid(12.0, 0.04)
+
+
+def test_sweeps_hold_a_working_set_bounded_by_the_sectors(thermometry_setup):
+    import tracemalloc
+
+    ladders, psi0, tau = thermometry_setup
+    dim, upper = ladders.center.basis.dim, ladders.upper.basis.dim
+    pairs = [(m, m) for m in range(5)]
+    peaks = []
+    for sweep, args in ((single_particle_correlator_set, (pairs,)),
+                        (density_correlators, ((2, 2),))):
+        tracemalloc.start()
+        try:
+            sweep(psi0, ladders, *args, 7.0, tau)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    # a chunk walks at most dim(N) / 2 columns of dim(N+1) rows and holds
+    # three such blocks (its start, the eigenbasis coefficients and the
+    # walked block) with its trajectory states; the slack is the output
+    # series and 8 KiB for the interpreter's own objects. The whole
+    # trajectory and dim(N)-wide walks took 8.9 and 7.6 MB
+    slack = 2 * 16 * len(pairs) * tau.size + 8192
+    bound = 2 * 16 * upper * dim + slack
+    assert max(peaks) <= bound, (peaks, bound)
+
+
+def test_sweep_block_bytes_is_the_largest_block_walked(small_setup,
+                                                       monkeypatch):
+    ladders, psi0 = small_setup
+    tau = tau_grid(2.0, 0.25)
+    walked = []
+
+    def recording(ladder, block, steps, group=1):
+        walked.append(np.asarray(block).nbytes)
+        return advance_columns(ladder, block, steps, group)
+
+    monkeypatch.setattr(correlators, "advance_columns", recording)
+    for green, density in (([(0, 0), (1, 2)], []), ([], [(1, 1)]),
+                           ([(2, 2)], [(0, 1), (2, 2)])):
+        walked.clear()
+        if green:
+            single_particle_correlator_set(psi0, ladders, green, 1.3, tau)
+        for pair in density:
+            density_correlators(psi0, ladders, pair, 1.3, tau)
+        assert sweep_block_bytes(ladders, green, density, tau) == max(walked)
+    assert sweep_block_bytes(ladders, [], [], tau) == 0
 
 
 def test_eigen_sectors_match_ladder_sectors_at_six_particles():

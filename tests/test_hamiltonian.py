@@ -1,7 +1,9 @@
 import dataclasses
 import os
+import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +18,7 @@ from bosetherm.partition import build_partition, reduced_density
 from bosetherm.propagator import (PropagatorConfig, build_eigen_propagator,
                                   evolve_to)
 from bosetherm.hamiltonian import (
+    CHECK_ROWS,
     GOE_MEAN_R,
     POISSON_MEAN_R,
     HamiltonianParams,
@@ -192,6 +195,65 @@ def test_sector_operator_checks_hermiticity_once_and_stays_frozen():
         SectorOperator(op.basis, op.matrix + 1e-11 * scale * skew)
     with pytest.raises(dataclasses.FrozenInstanceError):
         op.matrix = op.matrix + 1e-3 * skew
+
+
+def random_hermitian(dim, rng):
+    """A complex Hermitian matrix as test_01 draws them."""
+    a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    return (a + a.conj().T) / (2.0 * np.sqrt(dim))
+
+
+def dense_hermiticity_message(m):
+    """The check's message from the full-size formula it replaces."""
+    defect = float(np.abs(m - m.conj().T).max())
+    scale = float(np.abs(m).max())
+    return f"matrix is not Hermitian: defect {defect:.3e} vs scale {scale:.3e}"
+
+
+# a dim of 150 ends in a partial block of 22 rows; a defect that only the
+# last block sees, one whose rows straddle the first block edge, and
+# matrices smaller than one block
+@pytest.mark.parametrize("dim,rows,cols", [
+    (150, slice(140, 147), slice(141, 150)),
+    (150, slice(CHECK_ROWS - 3, CHECK_ROWS + 2), slice(10, 20)),
+    (CHECK_ROWS - 1, slice(3, 9), slice(20, 30)),
+    (2, slice(0, 1), slice(1, 2)),
+])
+def test_blockwise_hermiticity_check_reports_the_dense_defect(dim, rows,
+                                                              cols):
+    rng = np.random.default_rng(dim)
+    m = random_hermitian(dim, rng)
+    m[rows, cols] += 1e-9 * (rng.standard_normal(m[rows, cols].shape)
+                             + 1j)
+    basis = FockBasis(2, dim - 1)
+    with pytest.raises(IntegrityError,
+                       match=re.escape(dense_hermiticity_message(m)) + "$"):
+        SectorOperator(basis, m)
+
+
+def test_blockwise_hermiticity_check_passes_hermitian_matrices_untouched():
+    rng = np.random.default_rng(11)
+    for dim in (1, CHECK_ROWS, CHECK_ROWS + 1, 60, 330, 500):
+        m = random_hermitian(dim, rng)
+        kept = m.copy()
+        op = SectorOperator(FockBasis(2, dim - 1), m)
+        assert op.matrix is m
+        assert m.tobytes() == kept.tobytes()
+
+
+def test_hermiticity_check_builds_no_full_size_temporary():
+    op = build_hamiltonian(params_for(5, 7))  # dim 330
+    dim = op.basis.dim
+    assert dim > 5 * CHECK_ROWS
+    tracemalloc.start()
+    try:
+        SectorOperator(op.basis, op.matrix)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # half of one full-size complex matrix: the dense formula's difference
+    # and its conjugate transpose took two whole ones
+    assert peak < 16 * dim * dim / 2, (peak, dim)
 
 
 def test_gap_ratio_poisson_reference():

@@ -590,6 +590,9 @@ def test_stage_diagnostics_record_the_propagator_bytes(tmp_path,
         # real eigenvectors and energies, 8 d (d + 1) bytes per sector
         dims = [sector_dimension(3, n) for n in sectors]
         assert diag["propagator_bytes"] == sum(8 * d * (d + 1) for d in dims)
+    # the largest block a correlator sweep walks at once
+    block = manifest["stages"]["greens"]["diagnostics"]["sweep_block_bytes"]
+    assert isinstance(block, int) and block > 0
 
 
 def test_thermometry_records_the_warnings_of_its_fits(tmp_path):
